@@ -34,6 +34,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -47,6 +48,26 @@ DEFAULT_SEED = 2021
 EXIT_OK = 0
 EXIT_DOMAIN_FAILURE = 1
 EXIT_IO_ERROR = 2
+
+
+def _write_output(command: str, path: str, content,
+                  what: Optional[str] = None) -> bool:
+    """Write ``content`` to ``path``: a string as is, anything else as
+    indented, key-sorted JSON plus a newline.  On failure print
+    ``repro <command>: cannot write <what or path>: <error>`` to stderr
+    and return False (callers exit with :data:`EXIT_IO_ERROR`)."""
+    try:
+        with open(path, "w") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        print("repro {}: cannot write {}: {}".format(
+            command, what or path, exc), file=sys.stderr)
+        return False
+    return True
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -182,11 +203,10 @@ def _cmd_hpc(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
     from .analysis.reporting import format_kv
     from .perf.sweep import SweepConfig, SweepRunner
     config = SweepConfig(refs_per_core=args.refs, workers=args.workers,
-                         engine=args.engine, fidelity=args.fidelity,
+                         fidelity=args.fidelity,
                          seeds=(_resolve_seed(args),))
     result = SweepRunner(config).run()
     if args.out:
@@ -194,13 +214,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                    "refs_per_core": args.refs,
                    "fidelity": args.fidelity or "default",
                    "cells": result.deterministic_view()}
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro sweep: cannot write {}: {}".format(
-                args.out, exc), file=sys.stderr)
+        if not _write_output("sweep", args.out, payload):
             return EXIT_IO_ERROR
     pairs = [
         ["cells", len(result.cells)],
@@ -222,7 +236,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fastmodel(args: argparse.Namespace) -> int:
-    import json
     from .analysis.reporting import format_kv
     from .fastmodel import (CalibrationError, FastModelError,
                             cluster_sweep, run_calibration,
@@ -264,15 +277,8 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
         except (CalibrationError, FastModelError, ValueError) as exc:
             print("repro fastmodel: {}".format(exc), file=sys.stderr)
             return EXIT_DOMAIN_FAILURE
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                print("repro fastmodel: cannot write {}: {}".format(
-                    args.out, exc), file=sys.stderr)
-                return EXIT_IO_ERROR
+        if args.out and not _write_output("fastmodel", args.out, report):
+            return EXIT_IO_ERROR
         pairs = []
         for hier, d in sorted(report["hierarchies"].items()):
             pairs.append(["{} rankings".format(hier),
@@ -296,15 +302,8 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
     except (CalibrationError, FastModelError) as exc:
         print("repro fastmodel: {}".format(exc), file=sys.stderr)
         return EXIT_DOMAIN_FAILURE
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro fastmodel: cannot write {}: {}".format(
-                args.out, exc), file=sys.stderr)
-            return EXIT_IO_ERROR
+    if args.out and not _write_output("fastmodel", args.out, report):
+        return EXIT_IO_ERROR
     print(format_kv("fastmodel cluster sweep", [
         ["nodes", report["total_nodes"]],
         ["jobs", report["job_count"]],
@@ -320,22 +319,9 @@ def _cmd_fastmodel(args: argparse.Namespace) -> int:
 
 
 def _cmd_backend(args: argparse.Namespace) -> int:
-    import json
     from .analysis.reporting import format_kv
     from .characterization.crosstech import (characterize_backend,
                                              compare_backends)
-
-    def write_report(report: dict) -> int:
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                print("repro backend: cannot write {}: {}".format(
-                    args.out, exc), file=sys.stderr)
-                return EXIT_IO_ERROR
-        return EXIT_OK
 
     if args.backend_command == "characterize":
         try:
@@ -345,9 +331,8 @@ def _cmd_backend(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print("repro backend: {}".format(exc), file=sys.stderr)
             return EXIT_DOMAIN_FAILURE
-        status = write_report(report)
-        if status != EXIT_OK:
-            return status
+        if args.out and not _write_output("backend", args.out, report):
+            return EXIT_IO_ERROR
         pairs = [
             ["backend", report["backend"]],
             ["spec data rate MT/s", report["spec_data_rate_mts"]],
@@ -375,9 +360,8 @@ def _cmd_backend(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print("repro backend: {}".format(exc), file=sys.stderr)
         return EXIT_DOMAIN_FAILURE
-    status = write_report(report)
-    if status != EXIT_OK:
-        return status
+    if args.out and not _write_output("backend", args.out, report):
+        return EXIT_IO_ERROR
     pairs = []
     for name, entry in report["backends"].items():
         pairs.append(["{} spec MT/s".format(name),
@@ -403,14 +387,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config = dataclasses.replace(base, seed=_resolve_seed(args))
     report = run_chaos_campaign(config)
     text = report.render()
-    if args.report_file:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("repro chaos: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return 2   # distinct from exit 1 == campaign FAIL
+    if args.report_file and not _write_output("chaos", args.report_file,
+                                              text, what="report"):
+        return EXIT_IO_ERROR   # distinct from exit 1 == campaign FAIL
     print(text, end="")
     return 0 if report.passed() else 1
 
@@ -427,14 +406,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         config,
         compare_static=not (args.static or args.no_baseline))
     text = report.render()
-    if args.report_file:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("repro adapt: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+    if args.report_file and not _write_output("adapt", args.report_file,
+                                              text, what="report"):
+        return EXIT_IO_ERROR
     print(text, end="")
     return EXIT_OK if report.passed() else EXIT_DOMAIN_FAILURE
 
@@ -463,14 +437,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_IO_ERROR
         text = summary.render()
-        if args.report_file:
-            try:
-                with open(args.report_file, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print("repro fleet: cannot write report: {}".format(exc),
-                      file=sys.stderr)
-                return EXIT_IO_ERROR
+        if args.report_file and not _write_output(
+                "fleet", args.report_file, text, what="report"):
+            return EXIT_IO_ERROR
         print(text, end="")
         if registry.path is not None:
             print("registry: {}".format(registry.snapshot_path))
@@ -632,10 +601,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             seed = args.seed
         report = run_perf_bench(
             refs_per_core=args.refs, workers=args.workers,
-            engine=args.engine, fidelity=args.fidelity,
+            fidelity=args.fidelity,
             baseline_path=args.baseline, seed=seed,
             include_reference=not args.no_reference,
-            drain_events=args.drain_events,
             include_fastmodel=args.fastmodel,
             fastmodel_cycle=not args.fastmodel_no_cycle)
         try:
@@ -652,7 +620,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 " ({})".format(report.cap_reason)
                 if report.cap_reason else "")],
             ["cpu capacity", report.cpu_capacity],
-            ["engine", report.engine],
             ["fast wall s", "{:.2f}".format(report.fast_wall_s)],
             ["events/s", "{:.0f}".format(report.events_per_second)],
         ]
@@ -662,9 +629,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if report.speedup_vs_baseline is not None:
             pairs.append(["speedup vs recorded baseline", "{:.2f}x"
                           .format(report.speedup_vs_baseline)])
-        for kind, d in report.drain.items():
-            pairs.append(["drain {} events/s".format(kind),
-                          "{:.0f}".format(d["events_per_second"])])
         if report.fastmodel:
             fm = report.fastmodel
             pairs.append(["fastmodel crosscheck",
@@ -688,7 +652,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     config = NodeConfig(
         suite=args.suite, hierarchy=HIERARCHIES[args.hierarchy](),
         design=args.design, refs_per_core=args.refs,
-        memory_utilization=args.utilization, engine=args.engine,
+        memory_utilization=args.utilization,
         seed=_resolve_seed(args))
     profiler = cProfile.Profile()
     profiler.enable()
@@ -787,12 +751,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             if args.format == "prometheus" \
             else to_json(recorder.snapshot())
         if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print("repro obs: cannot write metrics: {}".format(exc),
-                      file=sys.stderr)
+            if not _write_output("obs", args.out, text, what="metrics"):
                 return EXIT_IO_ERROR
             print("metrics: {}".format(args.out))
         else:
@@ -828,7 +787,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
     """``repro serve --daemons N``: the HA control plane answers the
     same JSONL request stream from N lease-holding daemons."""
-    import json
     from .fleet.registry import EVENT_KINDS, RegistryError
     from .service import HAConfig, HAControlPlane, RegistryWrite
     from .service.sharding import DEFAULT_SHARDS
@@ -918,7 +876,6 @@ def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import json
     from .fleet.registry import RegistryError
     from .hpc.cluster import Cluster
     from .service import (DaemonConfig, PlaceRequest, PlacementDaemon,
@@ -1057,21 +1014,16 @@ def _cmd_soak_failover(args: argparse.Namespace) -> int:
                 fh.close()
         if tempdir is not None:
             tempdir.cleanup()
-    if args.report_file is not None:
-        try:
-            with open(args.report_file, "w") as fh:
-                fh.write(result.report.render())
-        except OSError as exc:
-            print("repro soak: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+    if args.report_file is not None and not _write_output(
+            "soak", args.report_file, result.report.render(),
+            what="report"):
+        return EXIT_IO_ERROR
     print(result.format_summary())
     return EXIT_OK if result.passed() else EXIT_DOMAIN_FAILURE
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     import dataclasses
-    import json
     import tempfile
     from .service import SoakConfig, SoakScenario
     if args.failover:
@@ -1109,16 +1061,9 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             stream.close()
         if tempdir is not None:
             tempdir.cleanup()
-    if args.report_file is not None:
-        try:
-            with open(args.report_file, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print("repro soak: cannot write report: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+    if args.report_file is not None and not _write_output(
+            "soak", args.report_file, report.to_dict(), what="report"):
+        return EXIT_IO_ERROR
     print(report.format_report())
     return EXIT_OK if report.passed() else EXIT_DOMAIN_FAILURE
 
@@ -1209,8 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=0,
                        help="worker processes for cycle cells "
                             "(<=1 serial; fast cells never fan out)")
-    sweep.add_argument("--engine", default=None,
-                       choices=("heap", "calendar"))
     sweep.add_argument("--fidelity", default=None,
                        choices=("cycle", "fast"),
                        help="model tier (default: REPRO_FIDELITY or "
@@ -1415,10 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace references per core and cell")
     bench.add_argument("--workers", type=int, default=8,
                        help="sweep worker processes (<=1 serial)")
-    bench.add_argument("--engine", default=None,
-                       choices=("heap", "calendar"),
-                       help="event-loop engine (default: REPRO_ENGINE "
-                            "or heap)")
     bench.add_argument("--out", default=None,
                        help="report path (default BENCH_speedup.json)")
     bench.add_argument("--baseline", default=None,
@@ -1427,9 +1366,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--no-reference", action="store_true",
                        help="skip the serial no-dedup reference pass "
                             "(halves the bench time)")
-    bench.add_argument("--drain-events", type=int, default=100000,
-                       help="pending-drain micro-benchmark size "
-                            "(0 disables)")
     bench.add_argument("--fidelity", default=None,
                        choices=("cycle", "fast"),
                        help="tier for the main sweep (the regression "
@@ -1452,8 +1388,6 @@ def build_parser() -> argparse.ArgumentParser:
     pprofile.add_argument("--design", default="hetero-dmr")
     pprofile.add_argument("--utilization", type=float, default=0.2)
     pprofile.add_argument("--refs", type=int, default=3000)
-    pprofile.add_argument("--engine", default=None,
-                          choices=("heap", "calendar"))
     pprofile.add_argument("--top", type=int, default=25,
                           help="rows of profile output to print")
 

@@ -37,19 +37,19 @@ Two backends are registered:
     (16 Gb+ cores), and the eye-width-in-unit-intervals argument of
     Section III-F scales the margin population by the rate ratio.
 
-Selection mirrors :func:`repro.sim.engine.make_event_loop`'s
-``REPRO_ENGINE`` handling: an explicit kind wins, otherwise the
-``REPRO_BACKEND`` environment variable decides (defaulting to
+Selection applies the shared knob rule of
+:func:`repro.knobs.resolve_env_choice`: an explicit kind wins, otherwise
+the ``REPRO_BACKEND`` environment variable decides (defaulting to
 ``ddr4``), and unknown values raise rather than silently simulating a
 different technology.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Optional, Tuple
 
+from ..knobs import resolve_env_choice
 from .timing import (DDR4_MAX_SPEC_MTS, TimingParameters, TimingTable,
                      manufacturer_spec_3200, timing_table)
 
@@ -70,19 +70,8 @@ def resolve_backend(kind: Optional[str] = None) -> str:
     lowercased; anything else raises — a typo in ``REPRO_BACKEND``
     must not silently change the memory technology under test.
     """
-    from_env = False
-    if kind is None:
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        from_env = bool(env)
-        kind = env or "ddr4"
-    if kind not in VALID_BACKENDS:
-        raise ValueError(
-            "unknown backend {!r}{}; valid memory backends: {}".format(
-                kind,
-                " (from the {} environment variable)".format(
-                    BACKEND_ENV_VAR) if from_env else "",
-                ", ".join(VALID_BACKENDS)))
-    return kind
+    return resolve_env_choice(kind, BACKEND_ENV_VAR, VALID_BACKENDS,
+                              "backend", "memory backends")
 
 
 class MemoryBackend:

@@ -415,7 +415,6 @@ def run_calibration(suites: Optional[Tuple[str, ...]] = None,
                     hierarchies: Optional[Tuple[str, ...]] = None,
                     refs_per_core: int = GRID_REFS_PER_CORE,
                     seed: int = GRID_SEED,
-                    engine: Optional[str] = None,
                     backend: Optional[str] = None,
                     progress=None) -> Calibration:
     """One-shot calibration pass: run the effective-cell grid on the
@@ -447,7 +446,7 @@ def run_calibration(suites: Optional[Tuple[str, ...]] = None,
                         if margin is None else margin,
                         memory_utilization=0.15,
                         refs_per_core=refs_per_core, seed=seed,
-                        engine=engine, fidelity="cycle",
+                        fidelity="cycle",
                         backend=backend_name))
                     record = _cell_record(result, refs_per_core)
                     cells[cell_id(suite, hier_name, design,

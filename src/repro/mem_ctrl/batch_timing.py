@@ -22,13 +22,12 @@ non-associative, and the determinism contract (same results with and
 without numpy) is worth more than the last constant factor.
 
 Batches below :data:`VECTOR_THRESHOLD` use the scalar loop (array
-setup would dominate), as does any batch when numpy is missing or
-``REPRO_BATCH=0`` opts out.
+setup would dominate), as does any batch when numpy is missing
+(numpy is optional; the scalar loop is also the tests' reference).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence, TypeVar
 
 try:                             # pragma: no cover - host-dependent
@@ -36,23 +35,11 @@ try:                             # pragma: no cover - host-dependent
 except ImportError:              # pragma: no cover - host-dependent
     _np = None
 
-#: Environment opt-out: ``REPRO_BATCH=0`` forces the scalar ordering
-#: loop even where numpy is available (diagnostic escape hatch; the
-#: two paths produce identical orderings regardless).
-BATCH_ENV_VAR = "REPRO_BATCH"
-
 #: Minimum batch size for the vectorized path; below it the scalar
 #: loop is faster than array construction.
 VECTOR_THRESHOLD = 64
 
 W = TypeVar("W")
-
-
-def vectorized_enabled() -> bool:
-    """Whether the numpy ordering path is active on this host."""
-    if _np is None:
-        return False
-    return os.environ.get(BATCH_ENV_VAR, "").strip() != "0"
 
 
 def order_write_batch(batch: Sequence[W]) -> List[W]:
@@ -62,7 +49,7 @@ def order_write_batch(batch: Sequence[W]) -> List[W]:
     ``.location.row`` attributes (``WriteRequest`` in production).
     Returns a new list; the input is not modified.
     """
-    if len(batch) >= VECTOR_THRESHOLD and vectorized_enabled():
+    if _np is not None and len(batch) >= VECTOR_THRESHOLD:
         return _order_vectorized(batch)
     return _order_scalar(batch)
 

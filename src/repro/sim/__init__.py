@@ -3,15 +3,15 @@ silicon-corroboration emulation model."""
 
 from .emulation import (EmulationResult, emulate_hetero_dmr,
                         emulated_speedup, write_time_ns)
-from .engine import CalendarEventLoop, EventLoop, make_event_loop
+from .engine import EventLoop
 from .node import (ADVANCE_QUANTUM_NS, DESIGNS, NodeConfig, NodeResult,
                    NodeSimulation, effective_design, simulate_node)
 from .runner import (BUCKET_UTILIZATION, ExperimentRunner, MARGIN_WEIGHTS,
                      USAGE_WEIGHTS)
 
 __all__ = ["ADVANCE_QUANTUM_NS", "BUCKET_UTILIZATION",
-           "CalendarEventLoop", "DESIGNS", "EmulationResult", "EventLoop",
+           "DESIGNS", "EmulationResult", "EventLoop",
            "ExperimentRunner", "MARGIN_WEIGHTS", "NodeConfig",
            "NodeResult", "NodeSimulation", "USAGE_WEIGHTS",
            "effective_design", "emulate_hetero_dmr", "emulated_speedup",
-           "make_event_loop", "simulate_node", "write_time_ns"]
+           "simulate_node", "write_time_ns"]

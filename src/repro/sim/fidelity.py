@@ -8,17 +8,18 @@ Two tiers produce :class:`~repro.sim.node.NodeResult` objects:
   (:mod:`repro.fastmodel`), ~10^3-10^4x cheaper per cell, cross-checked
   against the cycle tier on the Figure 12 grid.
 
-:func:`resolve_fidelity` mirrors :func:`repro.sim.engine.make_event_loop`'s
-``REPRO_ENGINE`` handling: an explicit kind wins, otherwise the
-``REPRO_FIDELITY`` environment variable decides (defaulting to
+:func:`resolve_fidelity` applies the shared knob rule of
+:func:`repro.knobs.resolve_env_choice`: an explicit kind wins, otherwise
+the ``REPRO_FIDELITY`` environment variable decides (defaulting to
 ``cycle``), and unknown values raise rather than silently changing
 which model produced the numbers.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..knobs import resolve_env_choice
 
 #: Environment variable consulted by :func:`resolve_fidelity` when no
 #: explicit fidelity kind is passed.
@@ -75,16 +76,5 @@ def resolve_fidelity(kind: Optional[str] = None) -> str:
     lowercased; anything else raises — a typo in ``REPRO_FIDELITY``
     must not silently change the model under test.
     """
-    from_env = False
-    if kind is None:
-        env = os.environ.get(FIDELITY_ENV_VAR, "").strip().lower()
-        from_env = bool(env)
-        kind = env or "cycle"
-    if kind not in VALID_FIDELITIES:
-        raise ValueError(
-            "unknown fidelity {!r}{}; valid fidelity tiers: {}".format(
-                kind,
-                " (from the {} environment variable)".format(
-                    FIDELITY_ENV_VAR) if from_env else "",
-                ", ".join(VALID_FIDELITIES)))
-    return kind
+    return resolve_env_choice(kind, FIDELITY_ENV_VAR, VALID_FIDELITIES,
+                              "fidelity", "fidelity tiers")

@@ -28,7 +28,7 @@ from ..dram.backend import resolve_backend
 from ..dram.timing import TABLE2_SETTINGS, TimingParameters
 from ..hpc.traces import MEMORY_BUCKET_FRACTIONS
 from ..workloads.registry import suite_names
-from .fidelity import ensure_fidelity_supported
+from .fidelity import ensure_fidelity_supported, resolve_fidelity
 from .node import NodeConfig, NodeResult, effective_design, simulate_node
 
 #: Effective designs that never leave specification timing: the margin
@@ -60,8 +60,10 @@ class ExperimentRunner:
 
     ``fidelity`` selects the model tier per
     :func:`repro.sim.fidelity.resolve_fidelity` (None defers to
-    ``REPRO_FIDELITY``); the cache is per-runner, so one runner never
-    mixes tiers.
+    ``REPRO_FIDELITY``) and ``backend`` the memory technology (None
+    defers to ``REPRO_BACKEND``).  Both are resolved once, at
+    construction, and the cache is per-runner, so one runner never
+    mixes tiers or backends.
     """
     refs_per_core: int = 5000
     seed: int = 12345
@@ -69,6 +71,10 @@ class ExperimentRunner:
     #: Memory-technology backend (None defers to ``REPRO_BACKEND``).
     backend: Optional[str] = None
     _cache: Dict[tuple, NodeResult] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.fidelity = resolve_fidelity(self.fidelity)
+        self.backend = resolve_backend(self.backend)
 
     # -- primitives ---------------------------------------------------------------
 
@@ -102,15 +108,14 @@ class ExperimentRunner:
             knobs={"read_error_rate": read_error_rate,
                    "transition_fault_rate": transition_fault_rate},
             source="ExperimentRunner.run")
-        backend = resolve_backend(self.backend)
         eff = effective_design(design, memory_utilization)
         if eff in _SPEC_ONLY_DESIGNS:
-            key = (suite, hierarchy.name, eff, backend,
+            key = (suite, hierarchy.name, eff,
                    timing.data_rate_mts if timing else None,
                    timing.tRCD_ns if timing else None,
                    None, None, None, None)
         else:
-            key = (suite, hierarchy.name, eff, backend,
+            key = (suite, hierarchy.name, eff,
                    timing.data_rate_mts if timing else None,
                    timing.tRCD_ns if timing else None,
                    margin_mts, use_latency_margin,
@@ -124,7 +129,7 @@ class ExperimentRunner:
                 read_error_rate=read_error_rate,
                 transition_fault_rate=transition_fault_rate,
                 refs_per_core=self.refs_per_core, seed=self.seed,
-                fidelity=self.fidelity, backend=backend))
+                fidelity=self.fidelity, backend=self.backend))
         return self._cache[key]
 
     def baseline(self, suite: str,

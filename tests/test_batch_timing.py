@@ -6,10 +6,9 @@ import random
 import pytest
 
 from repro.cache.hierarchy import HIERARCHIES
-from repro.mem_ctrl.batch_timing import (BATCH_ENV_VAR,
-                                         VECTOR_THRESHOLD,
-                                         _order_scalar, order_write_batch,
-                                         vectorized_enabled)
+from repro.mem_ctrl import batch_timing
+from repro.mem_ctrl.batch_timing import (VECTOR_THRESHOLD, _order_scalar,
+                                         order_write_batch)
 from repro.mem_ctrl.queues import WriteRequest
 from repro.mem_ctrl.address_map import MemLocation
 from repro.sim.node import NodeConfig, simulate_node
@@ -66,14 +65,16 @@ def test_order_is_a_permutation():
     assert sorted(map(id, ordered)) == sorted(map(id, batch))
 
 
-def test_env_opt_out_disables_vectorized(monkeypatch):
-    pytest.importorskip("numpy")
-    monkeypatch.setenv(BATCH_ENV_VAR, "0")
-    assert not vectorized_enabled()
-    monkeypatch.setenv(BATCH_ENV_VAR, "1")
-    assert vectorized_enabled()
-    monkeypatch.delenv(BATCH_ENV_VAR)
-    assert vectorized_enabled()
+def test_without_numpy_orders_on_the_scalar_path(monkeypatch):
+    """A host without numpy never reaches the vectorized path, even for
+    batches past the threshold."""
+    def refuse(batch):
+        raise AssertionError("vectorized path used without numpy")
+
+    monkeypatch.setattr(batch_timing, "_np", None)
+    monkeypatch.setattr(batch_timing, "_order_vectorized", refuse)
+    batch = _batch(random.Random(5), 4 * VECTOR_THRESHOLD)
+    assert order_write_batch(batch) == _order_scalar(batch)
 
 
 def test_cycle_sim_identical_with_and_without_vectorized_path(
@@ -89,10 +90,9 @@ def test_cycle_sim_identical_with_and_without_vectorized_path(
             design="baseline", margin_mts=800,
             memory_utilization=0.15, refs_per_core=600, seed=99))
 
-    monkeypatch.setenv(BATCH_ENV_VAR, "0")
-    scalar = run()
-    monkeypatch.delenv(BATCH_ENV_VAR)
     vectorized = run()
+    monkeypatch.setattr(batch_timing, "_np", None)
+    scalar = run()
     assert scalar.time_ns == vectorized.time_ns
     assert scalar.dram_writes == vectorized.dram_writes
     assert scalar.events_processed == vectorized.events_processed

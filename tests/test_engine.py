@@ -87,151 +87,3 @@ def test_schedule_clamped_counter():
     assert e.schedule_clamped == 1
     e.run()
     assert e.now == 5.0
-
-
-# -- calendar queue equivalence ----------------------------------------------
-
-def _seeded_workload(loop, order, seed=99, nevents=400):
-    """Schedule a pseudo-random self-rescheduling workload."""
-    import random
-    rng = random.Random(seed)
-    state = {"left": nevents}
-
-    def fire(tag):
-        order.append((loop.now, tag))
-        if state["left"] > 0:
-            state["left"] -= 1
-            # Mix of near/far/past-due/simultaneous schedules.
-            r = rng.random()
-            if r < 0.25:
-                loop.schedule(loop.now, lambda: fire("tie"))
-            elif r < 0.5:
-                loop.schedule(loop.now - rng.random() * 10.0,
-                              lambda: fire("past"))
-            elif r < 0.9:
-                loop.schedule_in(rng.random() * 50.0, lambda: fire("near"))
-            else:
-                loop.schedule_in(1000.0 + rng.random() * 200000.0,
-                                 lambda: fire("far"))
-
-    for i in range(8):
-        loop.schedule(rng.random() * 100.0, lambda i=i: fire("seed%d" % i))
-    return state
-
-
-def test_calendar_matches_heap_event_order():
-    from repro.sim.engine import CalendarEventLoop
-    runs = {}
-    for cls in (EventLoop, CalendarEventLoop):
-        loop = cls()
-        order = []
-        _seeded_workload(loop, order)
-        loop.run()
-        runs[cls.__name__] = (order, loop.events_processed,
-                              loop.schedule_clamped, loop.now)
-    assert runs["EventLoop"] == runs["CalendarEventLoop"]
-
-
-def test_calendar_matches_heap_with_tiny_buckets():
-    # Width/bucket-count extremes exercise the overflow heap and the
-    # year-window jump.
-    from repro.sim.engine import CalendarEventLoop
-    ref_loop = EventLoop()
-    ref = []
-    _seeded_workload(ref_loop, ref, seed=7)
-    ref_loop.run()
-    for width, nb in ((0.5, 4), (1e6, 2), (17.3, 8)):
-        loop = CalendarEventLoop(bucket_width_ns=width, nbuckets=nb)
-        order = []
-        _seeded_workload(loop, order, seed=7)
-        loop.run()
-        assert order == ref
-        assert loop.events_processed == ref_loop.events_processed
-
-
-def test_calendar_until_and_max_events_bounds():
-    from repro.sim.engine import CalendarEventLoop
-    for kwargs in ({"until_ns": 10.0}, {"max_events": 2}):
-        heap, cal = EventLoop(), CalendarEventLoop(bucket_width_ns=2.0,
-                                                   nbuckets=4)
-        logs = []
-        for loop in (heap, cal):
-            seen = []
-            logs.append(seen)
-            for i in range(5):
-                loop.schedule(float(i * 7), lambda i=i, s=seen: s.append(i))
-            loop.run(**kwargs)
-        assert logs[0] == logs[1]
-        assert heap.pending == cal.pending
-        assert heap.now == cal.now
-
-
-def test_calendar_stop_mid_run():
-    from repro.sim.engine import CalendarEventLoop
-    e = CalendarEventLoop()
-    seen = []
-    e.schedule(1.0, lambda: (seen.append(1), e.stop()))
-    e.schedule(2.0, lambda: seen.append(2))
-    e.run()
-    assert seen == [1]
-    e.run()
-    assert seen == [1, 2]
-
-
-def test_make_event_loop_factory(monkeypatch):
-    from repro.sim.engine import CalendarEventLoop, make_event_loop
-    assert type(make_event_loop("heap")) is EventLoop
-    assert type(make_event_loop("calendar")) is CalendarEventLoop
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert type(make_event_loop()) is EventLoop
-    monkeypatch.setenv("REPRO_ENGINE", "calendar")
-    assert type(make_event_loop()) is CalendarEventLoop
-    import pytest
-    with pytest.raises(ValueError):
-        make_event_loop("fibonacci")
-
-
-def test_make_event_loop_env_is_normalized(monkeypatch):
-    from repro.sim.engine import CalendarEventLoop, make_event_loop
-    # Whitespace and case must not silently change the engine.
-    monkeypatch.setenv("REPRO_ENGINE", "  CALENDAR \n")
-    assert type(make_event_loop()) is CalendarEventLoop
-    # An empty/blank variable means "unset", not an error.
-    monkeypatch.setenv("REPRO_ENGINE", "   ")
-    assert type(make_event_loop()) is EventLoop
-
-
-def test_make_event_loop_env_typo_raises_clearly(monkeypatch):
-    import pytest
-    from repro.sim.engine import make_event_loop
-    monkeypatch.setenv("REPRO_ENGINE", "calender")   # typo
-    with pytest.raises(ValueError) as excinfo:
-        make_event_loop()
-    message = str(excinfo.value)
-    assert "calender" in message
-    assert "REPRO_ENGINE" in message
-    assert "heap" in message and "calendar" in message
-
-
-def test_make_event_loop_explicit_kind_error_names_no_env():
-    import pytest
-    from repro.sim.engine import make_event_loop
-    with pytest.raises(ValueError) as excinfo:
-        make_event_loop("fibonacci")
-    assert "REPRO_ENGINE" not in str(excinfo.value)
-
-
-def test_node_simulation_identical_across_engines():
-    from repro.sim.node import NodeConfig, simulate_node
-    base = NodeConfig(suite="linpack", refs_per_core=800,
-                      memory_utilization=0.15)
-    results = {}
-    for kind in ("heap", "calendar"):
-        cfg = NodeConfig(suite=base.suite, refs_per_core=base.refs_per_core,
-                         memory_utilization=base.memory_utilization,
-                         engine=kind)
-        r = simulate_node(cfg)
-        results[kind] = (r.time_ns, r.instructions, r.dram_reads,
-                         r.dram_writes, r.mean_read_latency_ns,
-                         r.row_hit_rate, r.activates, r.refreshes)
-    assert results["heap"] == results["calendar"]

@@ -61,6 +61,27 @@ def test_experiment_runner_refuses_before_cache(monkeypatch):
         runner.run("linpack", hier, "baseline", read_error_rate=0.01)
 
 
+def test_experiment_runner_fixes_tier_and_backend_at_construction(
+        monkeypatch):
+    """One runner never mixes tiers or backends: flipping the
+    environment between two cells leaves the second cell on what the
+    runner resolved when it was built."""
+    from repro.dram.backend import BACKEND_ENV_VAR
+    from repro.sim.runner import ExperimentRunner
+    monkeypatch.delenv(FIDELITY_ENV_VAR, raising=False)
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    hier = HIERARCHIES["Hierarchy1"]()
+    runner = ExperimentRunner(refs_per_core=300)
+    base = runner.run("hpcg", hier, "baseline")
+    monkeypatch.setenv(FIDELITY_ENV_VAR, "fast")
+    monkeypatch.setenv(BACKEND_ENV_VAR, "mrdimm")
+    fmr = runner.run("hpcg", hier, "fmr")
+    for result in (base, fmr):
+        assert result.events_processed > 0      # ran on the cycle tier
+        assert result.config.fidelity == "cycle"
+        assert result.config.backend == "ddr4"
+
+
 def test_sweep_config_refuses_fast_with_faults():
     with pytest.raises(FidelityError) as err:
         SweepConfig(fidelity="fast", read_error_rate=0.01)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.perf import (BenchReport, SweepConfig, SweepRunner, cell_key,
-                        drain_benchmark, load_baseline)
+                        load_baseline)
 
 #: A small grid that still exercises every dedup case: a spec-only
 #: design (fmr), margin-sensitive designs, and the >=50% bucket where
@@ -74,14 +74,18 @@ def test_sweep_config_validation():
         SweepConfig(buckets=("0-99",))
 
 
-def test_drain_benchmark_covers_both_engines():
-    out = drain_benchmark(n_events=5000)
-    assert set(out) == {"heap", "calendar"}
-    for stats in out.values():
-        assert stats["n_events"] == 5000
-        assert stats["events_per_second"] > 0
-    with pytest.raises(ValueError):
-        drain_benchmark(n_events=0)
+def test_reference_pass_simulates_every_cell(monkeypatch):
+    """The serial reference pass feeds every grid cell, undeduplicated
+    and at cycle fidelity, through the sweep's own task format."""
+    from repro.perf import bench
+    from repro.perf.sweep import _task_config
+    seen = []
+    monkeypatch.setattr(bench, "_run_cell",
+                        lambda task: seen.append(_task_config(task)))
+    runner = SweepRunner(SweepConfig(fidelity="fast", **_SMALL))
+    assert bench._reference_pass(runner) >= 0.0
+    assert len(seen) == len(runner.config.cells()) == 19
+    assert {c.fidelity for c in seen} == {"cycle"}
 
 
 def test_load_baseline_missing_file(tmp_path):
@@ -92,7 +96,7 @@ def test_bench_report_roundtrip(tmp_path):
     report = BenchReport(
         refs_per_core=60, n_cells=19, unique_simulations=7,
         workers_requested=8, workers_used=1, cpu_capacity=1,
-        cap_reason="cpu-capacity", engine="heap",
+        cap_reason="cpu-capacity",
         fast_wall_s=1.5, events_processed=1000,
         events_per_second=666.0)
     path = report.write(tmp_path / "BENCH_speedup.json")
