@@ -111,6 +111,20 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``: write a sibling
+    ``.tmp`` file, fsync it, ``os.replace`` it over ``path``, then
+    fsync the directory.  Readers never observe a torn file, and a
+    power cut after the rename cannot persist it over empty data."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+
+
 @dataclass(frozen=True)
 class RegistryEvent:
     """One append-only log entry (see module docstring for kinds)."""
@@ -296,13 +310,7 @@ class MarginRegistry:
         repaired = "".join(line + "\n" for line in valid)
         if repaired == original:
             return 0
-        tmp = self.events_path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w") as fh:
-            fh.write(repaired)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.events_path)
-        fsync_dir(self.path)
+        atomic_write(self.events_path, repaired.encode("utf-8"))
         return len(original) - len(repaired)
 
     # -- recording ----------------------------------------------------------------
@@ -470,13 +478,7 @@ class MarginRegistry:
         if self.path is None:
             raise RegistryError("in-memory registry has no snapshot "
                                 "file; use snapshot_bytes()")
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(self.snapshot_bytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.snapshot_path)
-        fsync_dir(self.path)
+        atomic_write(self.snapshot_path, self.snapshot_bytes())
         return self.snapshot_path
 
     def compact(self) -> int:
@@ -508,10 +510,7 @@ class MarginRegistry:
             dropped = sum(
                 1 for line in self.events_path.read_text().splitlines()
                 if line.strip())
-            tmp = self.events_path.with_suffix(".jsonl.tmp")
-            tmp.write_text("")
-            os.replace(tmp, self.events_path)
-            fsync_dir(self.path)
+            atomic_write(self.events_path, b"")
         self._retained = []
         self.horizon_seq = self.last_seq
         return dropped

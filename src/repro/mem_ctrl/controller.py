@@ -20,13 +20,12 @@ specification — speed, Hetero-DMR's "no benefit for writes" behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
 from ..obs import get_recorder
 from .address_map import AddressMapping, MemLocation
-from .batch_timing import order_write_batch
 from .page_policy import PagePolicy
 from .policy import AccessPolicy
 from .queues import (READ_QUEUE_ENTRIES, ReadRequest, WRITE_QUEUE_ENTRIES,
@@ -36,6 +35,33 @@ from .writeback_cache import WritebackCache
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from ..sim.engine import EventLoop
+
+
+def order_write_batch(batch: Sequence[WriteRequest]) -> List[WriteRequest]:
+    """First-ready drain order for a write batch: per-(rank, bank)
+    groups in first-appearance order, rows sorted stably within each
+    group, whole same-row runs emitted round-robin across groups.
+    Returns a new list; the input is not modified."""
+    groups: Dict[tuple, List[WriteRequest]] = {}
+    for wr in batch:
+        groups.setdefault((wr.location.rank, wr.location.bank),
+                          []).append(wr)
+    for group in groups.values():
+        group.sort(key=lambda w: w.location.row)
+    ordered: List[WriteRequest] = []
+    cursors = {key: 0 for key in groups}
+    while len(ordered) < len(batch):
+        for key, group in groups.items():
+            i = cursors[key]
+            if i >= len(group):
+                continue
+            # Emit the whole same-row run for this bank, then move on.
+            row = group[i].location.row
+            while i < len(group) and group[i].location.row == row:
+                ordered.append(group[i])
+                i += 1
+            cursors[key] = i
+    return ordered
 
 
 @dataclass
@@ -240,8 +266,7 @@ class ChannelController:
         # Write-mode scheduling: writes are drained first-ready — same-
         # row writes back to back within a bank, banks interleaved
         # round-robin so their row cycles overlap and the data bus
-        # stays packed.  Large batches order through numpy integer
-        # sorts (bit-identical permutation; see mem_ctrl.batch_timing).
+        # stays packed (see order_write_batch).
         self._write_chunks(order_write_batch(batch), 0)
 
     #: Writes drained per read<->write bus turnaround, as in a

@@ -27,12 +27,10 @@ from typing import Dict, List, Optional, Tuple
 from ..cache.hierarchy import HIERARCHIES
 from ..dram.backend import resolve_backend
 from ..sim.fidelity import ensure_fidelity_supported
-from ..sim.node import NodeConfig, effective_design, simulate_node
+from ..sim.node import (SPEC_ONLY_DESIGNS, NodeConfig, effective_design,
+                        simulate_node)
 from ..sim.runner import BUCKET_UTILIZATION
 from ..workloads.registry import suite_names
-
-#: Effective designs that never leave spec timing (margin knobs inert).
-_SPEC_ONLY = ("baseline", "baseline-plain", "fmr")
 
 
 def available_cpus() -> int:
@@ -89,8 +87,8 @@ class SweepConfig:
     workers: int = 0
     #: Fidelity tier for every cell ("cycle", "fast", or None for the
     #: ``REPRO_FIDELITY`` default).  Fast cells are closed-form: the
-    #: runner skips the process pool and evaluates the whole grid as
-    #: one numpy batch.
+    #: runner skips the process pool and evaluates the whole grid in
+    #: one in-process pass.
     fidelity: Optional[str] = None
     #: Memory-technology backend for every cell ("ddr4", "mrdimm", or
     #: None for the ``REPRO_BACKEND`` default).
@@ -159,7 +157,7 @@ def cell_key(cell: dict) -> tuple:
     produce identical simulation results."""
     util = BUCKET_UTILIZATION[cell["bucket"]]
     eff = effective_design(cell["design"], util)
-    if eff in _SPEC_ONLY:
+    if eff in SPEC_ONLY_DESIGNS:
         return (cell["suite"], cell["hierarchy"], eff, None,
                 cell["seed"])
     return (cell["suite"], cell["hierarchy"], eff, cell["margin_mts"],
@@ -308,9 +306,8 @@ class SweepRunner:
         return [_run_cell(task) for task in tasks]
 
     def _map_fast(self, tasks: List[Tuple]) -> List[dict]:
-        """Evaluate every unique cell in one closed-form batch
-        (numpy-vectorized when available; bit-identical scalar
-        fallback otherwise)."""
+        """Evaluate every unique cell through the closed form in one
+        in-process pass."""
         from ..fastmodel import simulate_nodes_fast
         t0 = time.perf_counter()
         results = simulate_nodes_fast([_task_config(task)

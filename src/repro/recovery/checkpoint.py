@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..fleet.registry import canonical_json, fsync_dir
+from ..fleet.registry import atomic_write, canonical_json
 
 #: Checkpoint schema version (bumped on incompatible changes).
 CHECKPOINT_FORMAT = 1
@@ -144,13 +143,7 @@ class CheckpointStore:
         if self.path is None:
             self._memory[name] = text
         else:
-            tmp = self.path / (name + ".tmp")
-            with open(tmp, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path / name)
-            fsync_dir(self.path)
+            atomic_write(self.path / name, text.encode("utf-8"))
         self._prune()
         return name
 

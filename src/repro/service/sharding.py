@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..fleet.registry import (MarginRegistry, NodeRecord, RegistryError,
-                              RegistryEvent, canonical_json, fsync_dir)
+                              RegistryEvent, atomic_write, canonical_json)
 from ..obs import get_recorder
 
 __all__ = ["ShardedRegistry", "shard_for_node", "DEFAULT_SHARDS"]
@@ -141,11 +140,8 @@ class ShardedRegistry:
         return self.path / MANIFEST_BACKUP
 
     def _write_manifest_file(self, target: Path, count: int) -> None:
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(canonical_json(
-            {"format": MANIFEST_FORMAT, "shards": count}) + "\n")
-        os.replace(tmp, target)
-        fsync_dir(self.path)
+        text = canonical_json({"format": MANIFEST_FORMAT, "shards": count})
+        atomic_write(target, (text + "\n").encode("utf-8"))
 
     def _read_manifest_file(self, target: Path) -> int:
         """Parse one manifest file; raises :class:`RegistryError` when

@@ -50,6 +50,13 @@ DESIGNS = ("baseline", "baseline-plain", "fmr", "hetero-dmr",
 ADVANCE_QUANTUM_NS = 500.0
 
 
+#: Effective designs that never leave specification timing: margin and
+#: fault knobs are inert for them, so the experiment runner and the
+#: sweep runner key cells differing only in those knobs to one
+#: simulation.
+SPEC_ONLY_DESIGNS = ("baseline", "baseline-plain", "fmr")
+
+
 def effective_design(design: str, memory_utilization: float) -> str:
     """Resolve a configured design against memory utilization:
     replication-based designs regress to the baseline (or to plain

@@ -29,12 +29,8 @@ from ..dram.timing import TABLE2_SETTINGS, TimingParameters
 from ..hpc.traces import MEMORY_BUCKET_FRACTIONS
 from ..workloads.registry import suite_names
 from .fidelity import ensure_fidelity_supported, resolve_fidelity
-from .node import NodeConfig, NodeResult, effective_design, simulate_node
-
-#: Effective designs that never leave specification timing: the margin
-#: and fault knobs below are inert for them, so cells differing only in
-#: those knobs share one simulation.
-_SPEC_ONLY_DESIGNS = ("baseline", "baseline-plain", "fmr")
+from .node import (SPEC_ONLY_DESIGNS, NodeConfig, NodeResult,
+                   effective_design, simulate_node)
 
 #: Node-margin weights for the headline numbers: the Section III-D2
 #: group fractions restricted to margin-bearing nodes.  Derived from
@@ -109,7 +105,7 @@ class ExperimentRunner:
                    "transition_fault_rate": transition_fault_rate},
             source="ExperimentRunner.run")
         eff = effective_design(design, memory_utilization)
-        if eff in _SPEC_ONLY_DESIGNS:
+        if eff in SPEC_ONLY_DESIGNS:
             key = (suite, hierarchy.name, eff,
                    timing.data_rate_mts if timing else None,
                    timing.tRCD_ns if timing else None,

@@ -64,3 +64,28 @@ def test_public_classes_documented():
             obj = getattr(pkg, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__doc__, "{}.{}".format(pkg_name, name)
+
+
+def test_no_module_imports_numpy():
+    """Every host runs the same code: no ``repro`` module imports numpy,
+    even where it is installed.  Checked in a fresh interpreter so other
+    tests' imports cannot mask or cause a hit.  ``repro.__main__`` is
+    skipped: importing it runs the CLI (its one import, ``repro.cli``,
+    is covered)."""
+    import os
+    import subprocess
+    import sys
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.name != 'repro.__main__':\n"
+        "        importlib.import_module(info.name)\n"
+        "assert 'numpy' not in sys.modules, sorted(\n"
+        "    m for m in sys.modules if m.startswith('numpy'))[:1]\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

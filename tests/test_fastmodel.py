@@ -217,8 +217,8 @@ def test_fast_matches_cycle_within_tolerance():
 
 
 def test_batch_matches_single_evaluation():
-    """simulate_nodes_fast (the sweep's batched path) must reproduce
-    per-config simulate_node_fast bit for bit, numpy or not."""
+    """simulate_nodes_fast (the sweep's many-cell path) must reproduce
+    per-config simulate_node_fast bit for bit."""
     configs = [_config(suite=s, design=d, margin_mts=m)
                for s in ("linpack", "hpcg", "graph500")
                for d in ("baseline", "hetero-dmr")
@@ -226,37 +226,6 @@ def test_batch_matches_single_evaluation():
     batched = simulate_nodes_fast(configs)
     for config, result in zip(configs, batched):
         assert result.time_ns == simulate_node_fast(config).time_ns
-
-
-def test_vectorized_batch_bit_identical_to_scalar():
-    numpy = pytest.importorskip("numpy")
-    del numpy
-    from repro.fastmodel import vector
-    calibration = load_default_calibration()
-    rows = []
-    for suite in calibration.grid["suites"]:
-        for hier_name in ("Hierarchy1", "Hierarchy2"):
-            hier = HIERARCHIES[hier_name]()
-            for design, margin in (("baseline", 800),
-                                   ("hetero-dmr", 600)):
-                from repro.fastmodel.model import (read_timing,
-                                                   write_timing)
-                cell = calibration.lookup_cell(suite, hier_name,
-                                               design, margin)
-                rows.append({
-                    "intercept": calibration.intercept_for(
-                        suite, hier_name, design),
-                    "slope": calibration.slope_for(suite, hier_name),
-                    "hierarchy": hier, "design": design,
-                    "read_t": read_timing(design, margin, True, None),
-                    "write_t": write_timing(design, None),
-                    "reads_n": cell["reads_n"],
-                    "writes_n": cell["writes_n"],
-                    "row_hit_rate": cell["row_hit_rate"],
-                    "entries_n": cell["entries_n"]})
-    vectorized = vector._vectorized(rows)
-    scalar = [vector._scalar(row) for row in rows]
-    assert vectorized == scalar            # bitwise, not approx
 
 
 # -- cross-check gate -------------------------------------------------------------------

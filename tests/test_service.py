@@ -107,6 +107,34 @@ def test_reload_adopts_manifest_shard_count(tmp_path):
     assert reloaded.effective_margins() == _plain().effective_margins()
 
 
+def test_manifest_temp_files_fsynced_before_rename(tmp_path,
+                                                  monkeypatch):
+    """A new registry's manifest and its .bak are each fsynced before
+    the rename that publishes them; otherwise a power cut can persist
+    both renames over empty data and neither copy loads."""
+    import os
+    real_fsync, real_replace = os.fsync, os.replace
+    synced, renamed = set(), []
+
+    def fsync(fd):
+        synced.add(os.fstat(fd).st_ino)
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        renamed.append((os.path.basename(dst),
+                        os.stat(src).st_ino in synced))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ShardedRegistry(tmp_path / "fleet", shards=4)
+    manifests = [r for r in renamed
+                 if r[0] in ("shards.json", "shards.json.bak")]
+    assert sorted(name for name, _ in manifests) == [
+        "shards.json", "shards.json.bak"]
+    assert all(was_synced for _, was_synced in manifests), manifests
+
+
 def test_torn_manifest_falls_back_to_bak_and_heals(tmp_path):
     registry = _sharded(path=tmp_path / "fleet", shards=4)
     registry.manifest_path.write_text('{"format": 1, "sha')   # torn
