@@ -139,22 +139,36 @@ class Cache:
 
         Used to start simulations at steady-state occupancy (the paper
         warms caches before measuring).  ``max_line`` bounds the line
-        addresses to a workload footprint.  Returns lines inserted.
+        addresses to a workload footprint; a footprint with fewer
+        distinct tags per set than ways fills only that many ways.
+        Returns lines inserted.
+
+        ``rng`` is a :class:`random.Random`.  Tags are drawn with
+        CPython's ``randrange(n)`` rejection loop written out
+        (``getrandbits(n.bit_length())`` until below ``n``), so the
+        lines, their LRU order and the generator's final state are
+        those of calling ``randrange`` per draw.
         """
-        tag_bits_limit = None
+        ntags = 1 << 24
         if max_line is not None:
-            tag_bits_limit = max(1, max_line >> (self.nsets.bit_length() - 1))
+            ntags = max(1, max_line >> (self.nsets.bit_length() - 1))
+        fill = min(self.assoc, ntags)
+        bits = ntags.bit_length()
         inserted = 0
         rand = rng.random
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         for ways in self._sets:
-            while len(ways) < self.assoc:
-                tag = (randrange(tag_bits_limit) if tag_bits_limit
-                       else randrange(1 << 24))
-                if tag in ways:
-                    continue
-                ways[tag] = rand() < dirty_prob
-                inserted += 1
+            need = fill - len(ways)
+            if need <= 0:
+                continue
+            inserted += need
+            while need:
+                tag = getrandbits(bits)
+                while tag >= ntags:
+                    tag = getrandbits(bits)
+                if tag not in ways:
+                    ways[tag] = rand() < dirty_prob
+                    need -= 1
         return inserted
 
     # -- Hetero-DMR cleaning hooks ------------------------------------------------

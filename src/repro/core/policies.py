@@ -18,7 +18,7 @@ Four designs from Section IV-A:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
@@ -66,7 +66,9 @@ class FmrPolicy(AccessPolicy):
     name = "fmr"
     broadcast_writes = True
     uses_writeback_cache = True
-    identity_read_rank = False
+
+    def rank_map(self, channel: Channel) -> None:
+        return None
 
     def read_rank(self, channel: Channel, request: ReadRequest,
                   now_ns: float) -> int:
@@ -88,7 +90,6 @@ class HeteroDMRPolicy(AccessPolicy):
     name = "hetero-dmr"
     broadcast_writes = True
     uses_writeback_cache = True
-    identity_read_rank = False
 
     def __init__(self, config: Optional[HeteroDMRConfig] = None,
                  free_module_index: int = 1,
@@ -106,19 +107,18 @@ class HeteroDMRPolicy(AccessPolicy):
 
     # -- replica routing ---------------------------------------------------------
 
-    def _free_rank_base(self, channel: Channel) -> int:
-        base = 0
-        for module in channel.modules[:self.free_module_index]:
-            base += len(module.ranks)
-        return base
+    def _free_ranks(self, channel: Channel) -> Sequence[int]:
+        """Flat ranks of the Free Module, in order."""
+        base = sum(len(module.ranks)
+                   for module in channel.modules[:self.free_module_index])
+        nfree = len(channel.modules[self.free_module_index].ranks)
+        return range(base, base + nfree)
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
+    def rank_map(self, channel: Channel) -> Optional[Sequence[int]]:
         """Copies live at the same location in the Free Module, so reads
-        touch only that module's ranks (Section III-A2)."""
-        free = channel.modules[self.free_module_index]
-        nfree = len(free.ranks)
-        return self._free_rank_base(channel) + request.location.rank % nfree
+        touch only that module's ranks (Section III-A2): logical rank
+        ``r`` reads the Free Module's rank ``r % nfree``."""
+        return self._per_channel(channel, self._free_ranks)
 
     # -- write mode: frequency transitions ------------------------------------------
 
@@ -178,21 +178,40 @@ class HeteroFmrPolicy(HeteroDMRPolicy):
 
     name = "hetero-dmr+fmr"
 
+    def rank_map(self, channel: Channel) -> None:
+        return None
+
+    def _copy_ranks(self, channel: Channel) -> List[Tuple]:
+        """Per Free Module rank: ``(home, home_banks, alt, alt_banks)``,
+        the home copy's flat rank and the next copy rank round the
+        module, each with its bank list."""
+        free = self._free_ranks(channel)
+        pairs = channel.all_ranks()
+        out = []
+        for i, home in enumerate(free):
+            alt = free[(i + 1) % len(free)]
+            out.append((home, pairs[home][1].banks,
+                        alt, pairs[alt][1].banks))
+        return out
+
     def read_rank(self, channel: Channel, request: ReadRequest,
                   now_ns: float) -> int:
-        free = channel.modules[self.free_module_index]
-        base = self._free_rank_base(channel)
-        nfree = len(free.ranks)
-        fixed = base + request.location.rank % nfree
-        row, bank_idx = request.location.row, request.location.bank
         # FMR's contribution on top of Hetero-DMR is picking whichever
         # copy is "in the faster state" — i.e., whose row buffer holds
         # the row.  The home copy rank serves everything else.
+        # _per_channel inlined: this runs once per scanned candidate.
         pairs = channel.all_ranks()
-        for flat in (fixed, base + (fixed - base + 1) % nfree):
-            if pairs[flat][1].banks[bank_idx].open_row == row:
-                return flat
-        return fixed
+        cached = self._table
+        if cached[0] is not pairs:
+            cached = self._table = (pairs, self._copy_ranks(channel))
+        copies = cached[1]
+        loc = request.location
+        home, home_banks, alt, alt_banks = copies[loc.rank % len(copies)]
+        if home_banks[loc.bank].open_row == loc.row:
+            return home
+        if alt_banks[loc.bank].open_row == loc.row:
+            return alt
+        return home
 
     def writes_per_transaction(self) -> int:
         return 3

@@ -104,8 +104,8 @@ class ReedSolomon:
 
         Table-driven LFSR division: each message byte's feedback term
         indexes a precomputed generator-product row, so the inner loop
-        is XOR-and-shift only.  Produces bit-identical parity to the
-        long-division reference (:meth:`_parity_reference`)."""
+        is XOR-and-shift only.  Produces bit-identical parity to
+        polynomial long division by the generator (tested)."""
         message = self._check_symbols(message, self.message_len, "message")
         rows = self._rows
         nparity = self.nparity
@@ -117,13 +117,6 @@ class ReedSolomon:
                 reg[j] = reg[j + 1] ^ row[j]
             reg[last] = row[last]
         return list(message) + reg
-
-    def _parity_reference(self, message: Sequence[int]) -> List[int]:
-        """Reference parity via polynomial long division — kept as the
-        equivalence oracle for the table-driven :meth:`encode`."""
-        _, remainder = poly_divmod(
-            list(message) + [0] * self.nparity, self._generator)
-        return [0] * (self.nparity - len(remainder)) + remainder
 
     def parity_of(self, message: Sequence[int]) -> List[int]:
         """Return only the parity symbols for ``message``."""

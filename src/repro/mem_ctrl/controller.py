@@ -180,32 +180,36 @@ class ChannelController:
     # -- read pump -----------------------------------------------------------------
 
     def _pump(self) -> None:
+        """Issue queued reads, FR-FCFS, while inflight slots are free.
+
+        Ranks resolve through the policy's per-channel ``rank_map``
+        table; only a policy without one (steering that depends on bank
+        state) has its ``read_rank`` called, per scanned candidate."""
         # Reads are also served while a write batch drains: the channel
         # is at specification then (Hetero-DMR's "no benefit for
         # writes" — not "no service"), and the bus model naturally
         # interleaves read bursts into gaps between write chunks.
         now = self.engine.now
-        # Identity policies resolve ranks inline inside the scheduler's
-        # scan loop (rank_of=None) instead of paying the read_rank call
-        # chain per candidate.
-        rank_of = None if self.policy.identity_read_rank else self._rank_of
+        rank_map = self.policy.rank_map(self.channel)
+        read_rank = self.policy.read_rank if rank_map is None else None
         while self.inflight < self.max_inflight and self.read_queue:
             idx = self.scheduler.pick(self.read_queue, self.channel, now,
-                                      rank_of=rank_of)
+                                      rank_map, read_rank)
             if idx is None:
                 break
             req = self.read_queue.pop(idx)
-            self._issue_read(req, now)
+            self._issue_read(req, now, rank_map)
 
-    def _rank_of(self, req: ReadRequest) -> int:
-        return self.policy.read_rank(self.channel, req, self.engine.now)
-
-    def _issue_read(self, req: ReadRequest, now_ns: float) -> None:
-        flat_rank = self._rank_of(req)
+    def _issue_read(self, req: ReadRequest, now_ns: float,
+                    rank_map: Optional[Sequence[int]]) -> None:
+        loc = req.location
+        if rank_map is None:
+            flat_rank = self.policy.read_rank(self.channel, req, now_ns)
+        else:
+            flat_rank = rank_map[loc.rank % len(rank_map)]
         _, rank = self.channel.locate_rank(flat_rank)
-        self.page_policy.apply(rank.banks[req.location.bank], now_ns)
-        finish = self.channel.access(flat_rank, req.location.bank,
-                                     req.location.row, now_ns,
+        self.page_policy.apply(rank.banks[loc.bank], now_ns)
+        finish = self.channel.access(flat_rank, loc.bank, loc.row, now_ns,
                                      is_write=False)
         finish = self.policy.on_read_complete(self.channel, req, finish)
         self.inflight += 1

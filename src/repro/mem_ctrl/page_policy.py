@@ -16,6 +16,7 @@ idle, so its tRP is already paid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..cache.hierarchy import CPU_GHZ
@@ -34,29 +35,19 @@ class PagePolicy:
             raise ValueError("unknown page policy {!r}".format(self.kind))
         if self.timeout_cycles <= 0:
             raise ValueError("timeout must be positive")
-        # apply() runs once per scheduler-scanned candidate; the
-        # timeout must be an attribute load there, not a division.
-        object.__setattr__(self, "_timeout_ns",
-                           self.timeout_cycles / self.cpu_ghz)
+        # Every kind is one comparison: an open row closes once it has
+        # been idle longer than close_after_ns (never for open, always
+        # for closed).  The scheduler's scan inlines the same test.
+        close_after = {"open": math.inf, "closed": -math.inf,
+                       "hybrid": self.timeout_ns}[self.kind]
+        object.__setattr__(self, "close_after_ns", close_after)
 
     @property
     def timeout_ns(self) -> float:
-        return self._timeout_ns
+        return self.timeout_cycles / self.cpu_ghz
 
     def apply(self, bank: Bank, now_ns: float) -> None:
         """Close the bank's row if the policy would have by ``now_ns``."""
-        if bank.open_row is None:
-            return
-        kind = self.kind
-        if kind == "hybrid":
-            if now_ns - bank.last_access_ns > self._timeout_ns:
-                bank.open_row = None
-        elif kind == "closed":
-            self._idle_close(bank)
-
-    @staticmethod
-    def _idle_close(bank: Bank) -> None:
-        # The precharge occurred while the bank was idle; by the time a
-        # new request arrives its tRP has already elapsed, so only the
-        # row-buffer state changes.
-        bank.open_row = None
+        if bank.open_row is not None and \
+                now_ns - bank.last_access_ns > self.close_after_ns:
+            bank.open_row = None

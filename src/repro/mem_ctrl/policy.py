@@ -14,7 +14,7 @@ module defines the interface plus the conventional default.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..dram.channel import Channel
 from .queues import ReadRequest
@@ -23,26 +23,55 @@ from .queues import ReadRequest
 #: round trip, Section III-A1), charged half per direction.
 CONVENTIONAL_TURNAROUND_NS = 10.0
 
+T = TypeVar("T")
+
+
+def _identity_map(channel: Channel) -> Sequence[int]:
+    return range(channel.rank_count())
+
 
 class AccessPolicy:
-    """Conventional (Commercial Baseline) behaviour; subclass hooks."""
+    """Conventional (Commercial Baseline) behaviour; subclass hooks.
+
+    Read steering that depends only on the logical rank is a per-channel
+    table, :meth:`rank_map`, which the scheduler indexes per scanned
+    candidate; steering that depends on bank state overrides
+    :meth:`read_rank` and returns None from :meth:`rank_map`.
+    """
 
     name = "baseline"
     #: Broadcast each write to all awake ranks in one bus transaction?
     broadcast_writes = False
     #: Route dirty evictions through the per-channel writeback cache?
     uses_writeback_cache = False
-    #: True when :meth:`read_rank` is exactly
-    #: ``location.rank % channel.rank_count()`` — the controller and
-    #: scheduler then resolve ranks inline instead of paying three
-    #: Python calls per scanned candidate.  Subclasses that override
-    #: :meth:`read_rank` must set this to False.
-    identity_read_rank = True
+
+    def rank_map(self, channel: Channel) -> Optional[Sequence[int]]:
+        """Flat rank serving logical rank ``r``, at index
+        ``r % len(map)``, or None when the choice depends on bank state
+        (such a policy overrides :meth:`read_rank`).  Identity for the
+        baseline."""
+        return self._per_channel(channel, _identity_map)
 
     def read_rank(self, channel: Channel, request: ReadRequest,
                   now_ns: float) -> int:
-        """Flat rank that serves this read (identity for the baseline)."""
-        return request.location.rank % channel.rank_count()
+        """Flat rank that serves this read: its :meth:`rank_map` entry."""
+        table = self.rank_map(channel)
+        return table[request.location.rank % len(table)]
+
+    #: ``(rank list, table)``: the last channel's steering table, keyed
+    #: on the ``channel.all_ranks()`` list object it was built from.
+    _table: tuple = (None, None)
+
+    def _per_channel(self, channel: Channel,
+                     build: Callable[[Channel], T]) -> T:
+        """``build(channel)``, rebuilt whenever the channel's rank list
+        is a different object: another channel, or the same one after
+        ``invalidate_rank_cache``."""
+        pairs = channel.all_ranks()
+        cached = self._table
+        if cached[0] is not pairs:
+            cached = self._table = (pairs, build(channel))
+        return cached[1]
 
     def enter_write_mode(self, channel: Channel, now_ns: float) -> float:
         """Cost of switching the channel to write mode; returns the time

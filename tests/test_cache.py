@@ -160,6 +160,65 @@ def test_warm_respects_max_line():
             assert tag <= max(1, 1000 >> (c.nsets.bit_length() - 1))
 
 
+def _warm_reference(cache, rng, dirty_prob=0.0, max_line=None):
+    """The randrange-per-draw warm-up that Cache.warm must reproduce
+    draw for draw (set contents and LRU order, return value, RNG state).
+    Fills min(assoc, tags) ways so small footprints terminate."""
+    ntags = 1 << 24
+    if max_line is not None:
+        ntags = max(1, max_line >> (cache.nsets.bit_length() - 1))
+    inserted = 0
+    for ways in cache._sets:
+        while len(ways) < min(cache.assoc, ntags):
+            tag = rng.randrange(ntags)
+            if tag in ways:
+                continue
+            ways[tag] = rng.random() < dirty_prob
+            inserted += 1
+    return inserted
+
+
+#: (size, assoc): an L1, the L2, Hierarchy1's 14-way LLC (2,048 of its
+#: 32,768 sets, to keep the test fast) and the small 16-way LLC.
+WARM_GEOMETRIES = ((32 << 10, 8), (1 << 20, 16), (14 * 64 * 2048, 14),
+                   (2 << 20, 16))
+
+
+@pytest.mark.parametrize("size,assoc", WARM_GEOMETRIES)
+@pytest.mark.parametrize("dirty_prob", (0.0, 0.3, 1.0))
+def test_warm_draws_the_randrange_stream(size, assoc, dirty_prob):
+    nsets = size // (assoc * LINE_BYTES)
+    set_bits = nsets.bit_length() - 1
+    # No bound, then tag counts just above and just below a power of
+    # two: the most and the fewest rejected getrandbits draws.
+    for max_line in (None, ((1 << 9) + 1) << set_bits,
+                     ((1 << 9) << set_bits) - 1):
+        ref, new = Cache(size, assoc), Cache(size, assoc)
+        ref_rng, new_rng = random.Random(11), random.Random(11)
+        expected = _warm_reference(ref, ref_rng, dirty_prob, max_line)
+        assert new.warm(new_rng, dirty_prob, max_line) == expected
+        assert [list(w.items()) for w in new._sets] == \
+            [list(w.items()) for w in ref._sets]
+        assert new_rng.getstate() == ref_rng.getstate()
+
+
+class _BoundedRandom(random.Random):
+    """Fails instead of spinning once a warm-up draws far too often."""
+
+    def getrandbits(self, k):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 100_000:
+            raise AssertionError("warm-up did not terminate")
+        return super().getrandbits(k)
+
+
+def test_warm_terminates_when_footprint_has_fewer_tags_than_ways():
+    c = Cache(4 * 4 * 64, 4)                  # 4 sets of 4 ways
+    # max_line=8 leaves 2 distinct tags per set: fill 2 ways, not 4.
+    assert c.warm(_BoundedRandom(0), max_line=8) == 8
+    assert [sorted(ways) for ways in c._sets] == [[0, 1]] * 4
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=200),
        st.integers(0, 2**31 - 1))

@@ -125,6 +125,15 @@ def test_hetero_fmr_picks_row_hit_copy():
     assert p.read_rank(ch, _req(rank=0), 0.0) == 3
 
 
+def test_hetero_fmr_prefers_home_copy_when_both_hold_the_row():
+    ch = _channel()
+    p = HeteroFmrPolicy()
+    ch.locate_rank(2)[1].banks[0].open_row = 5
+    ch.locate_rank(3)[1].banks[0].open_row = 5
+    assert p.read_rank(ch, _req(rank=0), 0.0) == 2
+    assert p.read_rank(ch, _req(rank=1), 0.0) == 3
+
+
 def test_hetero_fmr_defaults_to_home_copy():
     ch = _channel()
     p = HeteroFmrPolicy()
@@ -133,3 +142,53 @@ def test_hetero_fmr_defaults_to_home_copy():
 
 def test_hetero_fmr_write_cost_three():
     assert HeteroFmrPolicy().writes_per_transaction() == 3
+
+
+STATIC_POLICIES = (BaselinePolicy, PlainBaselinePolicy, HeteroDMRPolicy)
+
+
+@pytest.mark.parametrize("policy_cls", STATIC_POLICIES)
+@pytest.mark.parametrize("free_ranks", (1, 2, 4))
+def test_rank_map_is_read_rank_for_every_logical_rank(policy_cls,
+                                                      free_ranks):
+    ch = _channel()
+    ch.modules[1] = Module(ModuleSpec(ranks_per_module=free_ranks), "M1",
+                           holds_copies=True)
+    p = policy_cls()
+    table = p.rank_map(ch)
+    for r in range(3 * ch.rank_count()):
+        assert table[r % len(table)] == p.read_rank(ch, _req(rank=r), 0.0)
+
+
+@pytest.mark.parametrize("policy_cls", (FmrPolicy, HeteroFmrPolicy))
+def test_bank_state_steering_has_no_rank_map(policy_cls):
+    assert policy_cls().rank_map(_channel()) is None
+
+
+def test_rank_tables_rebuild_after_invalidate_rank_cache():
+    ch = _channel()
+    hdmr, hfmr = HeteroDMRPolicy(), HeteroFmrPolicy()
+    assert list(hdmr.rank_map(ch)) == [2, 3]
+    assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 3
+    # Repopulate the slots: a single-rank original, a 4-rank Free Module.
+    ch.modules = [Module(ModuleSpec(ranks_per_module=1), "M0"),
+                  Module(ModuleSpec(ranks_per_module=4), "M1",
+                         holds_copies=True)]
+    ch.invalidate_rank_cache()
+    assert list(hdmr.rank_map(ch)) == [1, 2, 3, 4]
+    assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 2
+    # The alternate copy of logical rank 3 wraps round the new module.
+    ch.locate_rank(1)[1].banks[0].open_row = 5
+    assert hfmr.read_rank(ch, _req(rank=3), 0.0) == 1
+
+
+def test_one_policy_steers_two_channels():
+    small, big = _channel(), _channel()
+    big.modules[1] = Module(ModuleSpec(ranks_per_module=4), "M1",
+                            holds_copies=True)
+    p = HeteroDMRPolicy()
+    for _ in range(2):
+        assert list(p.rank_map(small)) == [2, 3]
+        assert list(p.rank_map(big)) == [2, 3, 4, 5]
+        assert p.read_rank(small, _req(rank=3), 0.0) == 3
+        assert p.read_rank(big, _req(rank=3), 0.0) == 5
