@@ -415,7 +415,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import (FleetConfig, FleetProfiler, MarginRegistry,
-                        PlacementService, RegistryError)
+                        RegistryError)
     seed = _resolve_seed(args)
 
     if args.fleet_command == "profile":
@@ -482,22 +482,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print("repro fleet: --widths must be positive integers",
               file=sys.stderr)
         return EXIT_DOMAIN_FAILURE
-    service = PlacementService(registry)
-    assignments = service.place(widths)
+    from .service import BucketPool
+    pool = BucketPool()
+    pool.fold(registry.nodes())
     rows = []
-    for i, (width, assignment) in enumerate(zip(widths, assignments)):
-        if assignment is None:
-            rows.append([i, width, "-", "UNPLACED"])
-        else:
-            rows.append([i, width,
-                         ",".join(str(n) for n in assignment.nodes),
-                         assignment.margin_bucket])
+    for job, width in enumerate(widths):
+        chosen = pool.select(width)
+        if chosen is None:
+            rows.append([job, width, "-", "UNPLACED"])
+            continue
+        pool.allocate(chosen, job)
+        rows.append([job, width, ",".join(str(n) for n in chosen),
+                     pool.bucket(chosen)])
     print(format_table(["job", "nodes", "assigned", "bucket"], rows,
                        title="fleet placement ({} jobs over {} nodes)"
                        .format(len(widths), len(registry))))
-    placed = sum(1 for a in assignments if a is not None)
-    print("placed {}/{} jobs".format(placed, len(widths)))
-    return EXIT_OK if placed == len(widths) else EXIT_DOMAIN_FAILURE
+    print("placed {}/{} jobs".format(pool.outstanding, len(widths)))
+    return (EXIT_OK if pool.outstanding == len(widths)
+            else EXIT_DOMAIN_FAILURE)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -784,11 +786,91 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return EXIT_OK if events else EXIT_DOMAIN_FAILURE
 
 
+class _ServeRequests:
+    """The JSONL request stream of ``repro serve``, parsed lazily into
+    daemon messages.  Iterating yields ``(lineno, message)``; a line
+    that does not parse, or that a consumer passes to :meth:`reject`,
+    is reported on stderr and counted in ``bad``."""
+
+    def __init__(self, lines: List[str]):
+        self.lines = lines
+        self.bad = 0
+
+    def __iter__(self):
+        for lineno, line in enumerate(self.lines, 1):
+            if not line.strip():
+                continue
+            try:
+                message = self._parse(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                self.reject(lineno, exc)
+                continue
+            yield lineno, message
+
+    def reject(self, lineno: int, exc: Exception) -> None:
+        print("repro serve: bad request line {}: {}".format(lineno, exc),
+              file=sys.stderr)
+        self.bad += 1
+
+    @staticmethod
+    def _parse(doc: dict):
+        from .fleet.registry import EVENT_KINDS
+        from .service import (ClockTick, PlaceRequest, RegistryWrite,
+                              ReleaseRequest)
+        op = doc["op"]
+        if op == "place":
+            deadline = doc.get("deadline_s")
+            request = PlaceRequest(
+                int(doc["job"]), int(doc.get("nodes", 1)),
+                float(deadline) if deadline is not None else None)
+            if request.nodes_requested <= 0:
+                raise ValueError("jobs need at least one node")
+            return request
+        if op == "release":
+            return ReleaseRequest(int(doc["job"]))
+        if op == "write":
+            write = RegistryWrite(str(doc["kind"]), int(doc["node"]),
+                                  dict(doc.get("payload", {})))
+            if write.kind not in EVENT_KINDS:
+                raise ValueError("unknown event kind {!r}"
+                                 .format(write.kind))
+            return write
+        if op == "tick":
+            return ClockTick(float(doc["now_s"]))
+        raise ValueError("unknown op {!r}".format(op))
+
+
+def _open_serve_io(args: argparse.Namespace):
+    """Read ``--requests`` (or stdin) and open ``--out``.  Returns
+    ``(requests, out_fh)`` (``out_fh`` None for stdout), or None after
+    printing the error (callers exit with :data:`EXIT_IO_ERROR`)."""
+    try:
+        if args.requests is not None:
+            with open(args.requests) as fh:
+                lines = fh.readlines()
+        else:
+            lines = sys.stdin.readlines()
+    except OSError as exc:
+        print("repro serve: cannot read requests: {}".format(exc),
+              file=sys.stderr)
+        return None
+    out_fh = None
+    if args.out is not None:
+        try:
+            out_fh = open(args.out, "w")
+        except OSError as exc:
+            print("repro serve: cannot open output: {}".format(exc),
+                  file=sys.stderr)
+            return None
+    return _ServeRequests(lines), out_fh
+
+
 def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
     """``repro serve --daemons N``: the HA control plane answers the
     same JSONL request stream from N lease-holding daemons."""
-    from .fleet.registry import EVENT_KINDS, RegistryError
-    from .service import HAConfig, HAControlPlane, RegistryWrite
+    from .fleet.registry import RegistryError
+    from .service import (HAConfig, HAControlPlane, PlaceRequest,
+                          RegistryWrite, ReleaseRequest)
     from .service.sharding import DEFAULT_SHARDS
     if args.registry is not None:
         print("repro serve: --registry is not supported with "
@@ -799,57 +881,27 @@ def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
                       shards=(args.shards if args.shards is not None
                               else DEFAULT_SHARDS),
                       daemons=args.daemons, seed=seed)
-    try:
-        if args.requests is not None:
-            with open(args.requests) as fh:
-                lines = fh.readlines()
-        else:
-            lines = sys.stdin.readlines()
-    except OSError as exc:
-        print("repro serve: cannot read requests: {}".format(exc),
-              file=sys.stderr)
+    opened = _open_serve_io(args)
+    if opened is None:
         return EXIT_IO_ERROR
-    out_fh = None
-    if args.out is not None:
-        try:
-            out_fh = open(args.out, "w")
-        except OSError as exc:
-            print("repro serve: cannot open output: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+    requests, out_fh = opened
     stream = out_fh if out_fh is not None else sys.stdout
     plane = HAControlPlane(
         config, decision_sink=lambda d: stream.write(d.to_json()
                                                      + "\n"))
-    bad = 0
     try:
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
+        for lineno, msg in requests:
             try:
-                doc = json.loads(line)
-                op = doc["op"]
-                if op == "place":
-                    plane.submit_place(int(doc["job"]),
-                                       int(doc.get("nodes", 1)))
-                elif op == "release":
-                    plane.submit_release(int(doc["job"]))
-                elif op == "write":
-                    kind = str(doc["kind"])
-                    if kind not in EVENT_KINDS:
-                        raise ValueError("unknown event kind {!r}"
-                                         .format(kind))
-                    plane.submit_write(RegistryWrite(
-                        kind, int(doc["node"]),
-                        dict(doc.get("payload", {}))))
-                elif op == "tick":
-                    plane.tick(float(doc["now_s"]))
+                if isinstance(msg, PlaceRequest):
+                    plane.submit_place(msg.job_id, msg.nodes_requested)
+                elif isinstance(msg, ReleaseRequest):
+                    plane.submit_release(msg.job_id)
+                elif isinstance(msg, RegistryWrite):
+                    plane.submit_write(msg)
                 else:
-                    raise ValueError("unknown op {!r}".format(op))
+                    plane.tick(msg.now_s)
             except (KeyError, TypeError, ValueError) as exc:
-                print("repro serve: bad request line {}: {}"
-                      .format(lineno, exc), file=sys.stderr)
-                bad += 1
+                requests.reject(lineno, exc)
         guard = 0
         while plane.pending and guard < 100_000:
             plane.tick(plane.now_s + 0.25)
@@ -871,7 +923,7 @@ def _cmd_serve_ha(args: argparse.Namespace, seed: int) -> int:
               plane.failover.failovers,
               plane.table.stats.fenced_writes),
           file=sys.stderr)
-    return EXIT_DOMAIN_FAILURE if bad else EXIT_OK
+    return EXIT_DOMAIN_FAILURE if requests.bad else EXIT_OK
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -895,24 +947,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("repro serve: cannot open registry: {}".format(exc),
               file=sys.stderr)
         return EXIT_IO_ERROR
-    try:
-        if args.requests is not None:
-            with open(args.requests) as fh:
-                lines = fh.readlines()
-        else:
-            lines = sys.stdin.readlines()
-    except OSError as exc:
-        print("repro serve: cannot read requests: {}".format(exc),
-              file=sys.stderr)
+    opened = _open_serve_io(args)
+    if opened is None:
         return EXIT_IO_ERROR
-    out_fh = None
-    if args.out is not None:
-        try:
-            out_fh = open(args.out, "w")
-        except OSError as exc:
-            print("repro serve: cannot open output: {}".format(exc),
-                  file=sys.stderr)
-            return EXIT_IO_ERROR
+    requests, out_fh = opened
     stream = out_fh if out_fh is not None else sys.stdout
     config = DaemonConfig(
         queue_limit=args.queue_limit,
@@ -921,44 +959,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry, config,
         decision_sink=lambda d: stream.write(d.to_json() + "\n"))
 
-    async def run_requests() -> int:
-        bad = 0
+    async def run_requests() -> None:
         async with daemon:
             futures = []
-            for lineno, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    op = doc["op"]
-                    if op == "place":
-                        deadline = doc.get("deadline_s")
-                        futures.append(daemon.submit(PlaceRequest(
-                            int(doc["job"]),
-                            int(doc.get("nodes", 1)),
-                            float(deadline) if deadline is not None
-                            else None)))
-                    elif op == "release":
-                        futures.append(await daemon.submit_release(
-                            ReleaseRequest(int(doc["job"]))))
-                    elif op == "write":
-                        await daemon.submit_write(RegistryWrite(
-                            str(doc["kind"]), int(doc["node"]),
-                            dict(doc.get("payload", {}))))
-                    elif op == "tick":
-                        await daemon.submit_tick(float(doc["now_s"]))
-                    else:
-                        raise ValueError("unknown op {!r}".format(op))
-                except (KeyError, TypeError, ValueError) as exc:
-                    print("repro serve: bad request line {}: {}"
-                          .format(lineno, exc), file=sys.stderr)
-                    bad += 1
+            for _, msg in requests:
+                if isinstance(msg, PlaceRequest):
+                    futures.append(daemon.submit(msg))
+                elif isinstance(msg, ReleaseRequest):
+                    futures.append(await daemon.submit_release(msg))
+                elif isinstance(msg, RegistryWrite):
+                    await daemon.submit_write(msg)
+                else:
+                    await daemon.submit_tick(msg.now_s)
             if futures:
                 await asyncio.gather(*futures)
-        return bad
 
     try:
-        bad = asyncio.run(run_requests())
+        asyncio.run(run_requests())
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -968,52 +985,64 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               stats.decisions, stats.placed, stats.shed, stats.expired,
               stats.released, stats.writes, stats.queue_peak),
           file=sys.stderr)
-    return EXIT_DOMAIN_FAILURE if bad else EXIT_OK
+    return EXIT_DOMAIN_FAILURE if requests.bad else EXIT_OK
+
+
+def _run_soak(args: argparse.Namespace, config, prefix: str,
+              overrides: List[tuple], stream_paths: List[Optional[str]],
+              run):
+    """Shared ``repro soak`` plumbing: apply the seed and every given
+    ``(field, value)`` override to ``config``, point it at
+    ``--registry`` (or a temp dir named ``prefix*``, removed
+    afterwards), open the decision streams at ``stream_paths`` and call
+    ``run(config, *streams)``.  Returns its result, or None after
+    printing why a stream could not be opened."""
+    import dataclasses
+    import tempfile
+    changes = {attr: value for attr, value in overrides
+               if value is not None}
+    tempdir = None
+    registry_dir = args.registry
+    if registry_dir is None:
+        tempdir = tempfile.TemporaryDirectory(prefix=prefix)
+        registry_dir = tempdir.name
+    config = dataclasses.replace(config, registry_dir=registry_dir,
+                                 seed=_resolve_seed(args), **changes)
+    streams: List[Optional[object]] = []
+    try:
+        try:
+            for path in stream_paths:
+                streams.append(None if path is None else open(path, "w"))
+        except OSError as exc:
+            print("repro soak: cannot open decision log: {}"
+                  .format(exc), file=sys.stderr)
+            return None
+        return run(config, *streams)
+    finally:
+        for fh in streams:
+            if fh is not None:
+                fh.close()
+        if tempdir is not None:
+            tempdir.cleanup()
 
 
 def _cmd_soak_failover(args: argparse.Namespace) -> int:
     """``repro soak --failover``: the HA failover drill — seeded
     faults against N daemons, decision stream compared against a
     never-crashed single-daemon reference."""
-    import dataclasses
-    import tempfile
     from .service import HAConfig, HAFailoverDrill
-    config = HAConfig.smoke() if args.smoke else HAConfig()
-    overrides = {"seed": _resolve_seed(args)}
-    for attr, value in (("events", args.events),
-                        ("nodes", args.nodes),
-                        ("shards", args.shards),
-                        ("daemons", args.daemons),
-                        ("p999_budget_s", args.p999_budget),
-                        ("compact_every", args.compact_every)):
-        if value is not None:
-            overrides[attr] = value
-    tempdir = None
-    registry_dir = args.registry
-    if registry_dir is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-ha-")
-        registry_dir = tempdir.name
-    config = dataclasses.replace(config, registry_dir=registry_dir,
-                                 **overrides)
-    stream = ref_stream = None
-    try:
-        try:
-            if args.decisions is not None:
-                stream = open(args.decisions, "w")
-            if args.reference_decisions is not None:
-                ref_stream = open(args.reference_decisions, "w")
-        except OSError as exc:
-            print("repro soak: cannot open decision log: {}"
-                  .format(exc), file=sys.stderr)
-            return EXIT_IO_ERROR
-        result = HAFailoverDrill(config).run(
-            stream=stream, reference_stream=ref_stream)
-    finally:
-        for fh in (stream, ref_stream):
-            if fh is not None:
-                fh.close()
-        if tempdir is not None:
-            tempdir.cleanup()
+    result = _run_soak(
+        args, HAConfig.smoke() if args.smoke else HAConfig(),
+        "repro-ha-",
+        [("events", args.events), ("nodes", args.nodes),
+         ("shards", args.shards), ("daemons", args.daemons),
+         ("p999_budget_s", args.p999_budget),
+         ("compact_every", args.compact_every)],
+        [args.decisions, args.reference_decisions],
+        lambda config, stream, ref_stream: HAFailoverDrill(config).run(
+            stream=stream, reference_stream=ref_stream))
+    if result is None:
+        return EXIT_IO_ERROR
     if args.report_file is not None and not _write_output(
             "soak", args.report_file, result.report.render(),
             what="report"):
@@ -1023,44 +1052,21 @@ def _cmd_soak_failover(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    import dataclasses
-    import tempfile
     from .service import SoakConfig, SoakScenario
     if args.failover:
         return _cmd_soak_failover(args)
-    config = SoakConfig.smoke() if args.smoke else SoakConfig()
-    overrides = {"seed": _resolve_seed(args),
-                 "verify": not args.no_verify}
-    for attr, value in (("events", args.events),
-                        ("nodes", args.nodes),
-                        ("shards", args.shards),
-                        ("queue_limit", args.queue_limit),
-                        ("p999_budget_s", args.p999_budget),
-                        ("compact_every", args.compact_every)):
-        if value is not None:
-            overrides[attr] = value
-    tempdir = None
-    registry_dir = args.registry
-    if registry_dir is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-soak-")
-        registry_dir = tempdir.name
-    config = dataclasses.replace(config, registry_dir=registry_dir,
-                                 **overrides)
-    stream = None
-    try:
-        if args.decisions is not None:
-            try:
-                stream = open(args.decisions, "w")
-            except OSError as exc:
-                print("repro soak: cannot open decision log: {}"
-                      .format(exc), file=sys.stderr)
-                return EXIT_IO_ERROR
-        report = SoakScenario(config).run(stream=stream)
-    finally:
-        if stream is not None:
-            stream.close()
-        if tempdir is not None:
-            tempdir.cleanup()
+    report = _run_soak(
+        args, SoakConfig.smoke() if args.smoke else SoakConfig(),
+        "repro-soak-",
+        [("verify", not args.no_verify), ("events", args.events),
+         ("nodes", args.nodes), ("shards", args.shards),
+         ("queue_limit", args.queue_limit),
+         ("p999_budget_s", args.p999_budget),
+         ("compact_every", args.compact_every)],
+        [args.decisions],
+        lambda config, stream: SoakScenario(config).run(stream=stream))
+    if report is None:
+        return EXIT_IO_ERROR
     if args.report_file is not None and not _write_output(
             "soak", args.report_file, report.to_dict(), what="report"):
         return EXIT_IO_ERROR

@@ -223,6 +223,9 @@ class MarginRegistry:
         #: marks the first seq retained.
         self._retained: List[RegistryEvent] = []
         self.horizon_seq = 0
+        #: The loaded log ends in a torn (or unterminated) line, which
+        #: the first append must drop before writing after it.
+        self._torn_tail = False
         if self.path is not None:
             if create:
                 self.path.mkdir(parents=True, exist_ok=True)
@@ -262,7 +265,9 @@ class MarginRegistry:
                              for r in raw["nodes"]}
         if not self.events_path.is_file():
             return
-        lines = self.events_path.read_text().splitlines()
+        text = self.events_path.read_text()
+        self._torn_tail = bool(text) and not text.endswith("\n")
+        lines = text.splitlines()
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -272,6 +277,7 @@ class MarginRegistry:
                 if i == len(lines) - 1:
                     # A crash mid-append can truncate the final line;
                     # everything before it is intact.
+                    self._torn_tail = True
                     break
                 raise RegistryError(
                     "corrupt event at line {}: {}".format(i + 1, exc))
@@ -291,6 +297,7 @@ class MarginRegistry:
         already tolerates (and skips) such a line; appending after it
         would corrupt the log, so any resume *must* repair first.
         Returns the number of bytes dropped (0 when already clean)."""
+        self._torn_tail = False
         if self.path is None or not self.events_path.is_file():
             return 0
         original = self.events_path.read_text()
@@ -326,6 +333,8 @@ class MarginRegistry:
         event = RegistryEvent(seq=self.last_seq + 1,
                               time_s=float(time_s), node=int(node),
                               kind=kind, payload=dict(payload))
+        if self._torn_tail:
+            self.repair_log()
         self._apply(event)
         self._retained.append(event)
         self.last_seq = event.seq
@@ -511,6 +520,7 @@ class MarginRegistry:
                 1 for line in self.events_path.read_text().splitlines()
                 if line.strip())
             atomic_write(self.events_path, b"")
+        self._torn_tail = False
         self._retained = []
         self.horizon_seq = self.last_seq
         return dropped

@@ -1,7 +1,7 @@
 """Resilience: chaos campaigns and the graceful-degradation ladder."""
 
 from .campaign import (ChaosCampaign, ChaosConfig, FlakyTestMachine,
-                       run_chaos_campaign, run_ha_failover_campaign)
+                       run_chaos_campaign)
 from .degradation import (DegradationController, LadderEvent, LadderRung,
                           build_ladder)
 from .report import SurvivabilityReport
@@ -10,5 +10,4 @@ __all__ = [
     "ChaosCampaign", "ChaosConfig", "DegradationController",
     "FlakyTestMachine", "LadderEvent", "LadderRung",
     "SurvivabilityReport", "build_ladder", "run_chaos_campaign",
-    "run_ha_failover_campaign",
 ]

@@ -5,8 +5,8 @@ The operational layer on top of the fleet subsystem: a
 across N independently compacted shards under a deterministic
 node→shard hash; a :class:`PlacementDaemon` answers placement,
 release, and registry-write traffic from one asyncio controller loop
-with bounded queueing, admission control, and per-shard TTL'd cluster
-views; and a :class:`SoakScenario` drives the pair with a seeded
+with bounded queueing, admission control, and one incremental
+:class:`BucketPool` kept fresh by per-shard sequence checks; and a :class:`SoakScenario` drives the pair with a seeded
 million-event closed loop whose :class:`SoakReport` gates determinism
 and tail latency.  The HA tier (:mod:`repro.service.ha`) replicates
 the daemon behind shard-group leases with fencing tokens

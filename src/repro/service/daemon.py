@@ -1,7 +1,6 @@
 """Live margin-aware placement daemon (asyncio controller loop).
 
-:class:`PlacementDaemon` turns the batch-shaped
-:class:`~repro.fleet.PlacementService` into a long-running service: a
+:class:`PlacementDaemon` is the long-running placement service: a
 single-writer controller loop (the iso-sched shape — one bounded
 pending queue feeding one arbitrator) absorbs a firehose of mixed
 messages and answers each with an explicit :class:`Decision`:
@@ -21,21 +20,24 @@ messages and answers each with an explicit :class:`Decision`:
     Ground truth is never shed: when the queue is saturated the
     *producer* blocks (``await``) until there is room.
 ``ClockTick``
-    Advances the daemon's virtual clock (monotonic clamp).  All
-    decision logic — deadlines, cache TTL — runs on this clock, so a
-    seeded message stream produces a byte-identical decision log;
-    wall-clock time feeds only the obs latency histograms.
+    Advances the daemon's virtual clock (monotonic clamp).  Deadlines
+    run on this clock, so a seeded message stream produces a
+    byte-identical decision log; wall-clock time feeds only the obs
+    latency histograms.
 
-Placement consults a **per-shard TTL'd cluster-view cache** reusing the
-``PlacementService`` invalidation law (fresh ⇔ shard seq unchanged ∧
-age < TTL on the monotonic virtual clock).  Writes routed through the
-daemon keep the view coherent incrementally (the common case — no
-rebuild); any out-of-band divergence (seq mismatch, TTL expiry) forces
-a full rebuild of just that shard.  The free pool is bucketed the same
-way :class:`~repro.hpc.scheduler.MarginAwareAllocationPolicy` groups
-nodes — fastest uniform bucket first, then fastest-first fallback —
-and the selection is bit-identical to the policy's (tested), just
-incremental instead of re-derived per query.
+Placement draws from one incremental :class:`BucketPool` holding the
+whole fleet.  Its freshness law is a per-shard sequence check: the
+daemon remembers the last ``last_seq`` it folded from each shard.
+Writes routed through the daemon fold their one node and advance that
+shard's seq (the common case — no rebuild); any out-of-band write
+leaves the shard's seq ahead of the remembered one, and the next
+placement re-folds just that shard.  Shard state changes only through
+``record``, which bumps ``last_seq``, so nothing else can make the
+pool stale.  The pool groups nodes the way
+:class:`~repro.hpc.scheduler.MarginAwareAllocationPolicy` does —
+fastest uniform bucket first, then fastest-first fallback — but picks
+in node-index order where the policy picks in free-list order (see
+DESIGN.md §8).
 
 Shutdown drains: ``stop()`` closes admission, then processes every
 message already queued before the controller exits, so no submitted
@@ -50,7 +52,8 @@ import itertools
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.margin_selection import bucket_node_margin
 from ..fleet.registry import EVENT_KINDS, canonical_json
@@ -134,8 +137,6 @@ class DaemonConfig:
     queue_limit: int = 512
     event_queue_limit: int = 4096
     batch_max: int = 256
-    cache_ttl_s: float = 300.0
-    keep_decisions: bool = False
 
     def validate(self) -> "DaemonConfig":
         if self.queue_limit <= 0:
@@ -145,8 +146,6 @@ class DaemonConfig:
                              "queue_limit")
         if self.batch_max <= 0:
             raise ValueError("batch_max must be positive")
-        if self.cache_ttl_s <= 0:
-            raise ValueError("cache_ttl_s must be positive")
         return self
 
 
@@ -181,15 +180,17 @@ class DaemonStats:
         return doc
 
 
-class _BucketPool:
+class BucketPool:
     """Incremental free-node pool, bucketed like the margin-aware
-    policy.
+    policy, picking in node-index order.
 
     ``_free[bucket][margin]`` is an index-sorted list of free nodes at
     exactly that effective margin; keeping per-margin sublists (not
     just per-bucket) is what makes the fastest-first fallback
-    bit-identical to ``MarginAwareAllocationPolicy`` — inside one
-    bucket, a 400 MT/s node must outrank a 200 MT/s one."""
+    bit-identical to ``MarginAwareAllocationPolicy`` over an
+    index-ordered free list — inside one bucket, a 400 MT/s node must
+    outrank a 200 MT/s one.  The daemon, the HA replicas and
+    ``repro fleet place`` all place through this class."""
 
     def __init__(self):
         self._free: Dict[int, Dict[int, List[int]]] = {}
@@ -217,9 +218,6 @@ class _BucketPool:
                 del self._free[bucket]
         self._free_count -= 1
 
-    def margin(self, node: int) -> int:
-        return self._margin[node]
-
     def has_lease(self, job_id: int) -> bool:
         return job_id in self._leases
 
@@ -245,11 +243,23 @@ class _BucketPool:
             self._remove_free(node, old)
         self._insert_free(node, margin)
 
+    def fold(self, records: Iterable) -> None:
+        """:meth:`set_margin` each registry record's effective margin
+        (``MarginRegistry.nodes()`` output, or any subset of it)."""
+        for record in records:
+            self.set_margin(record.node, record.effective_margin_mts)
+
+    def bucket(self, nodes: Sequence[int]) -> int:
+        """The margin class a placement runs in: the bucket of its
+        slowest node, which is what the performance model keys on."""
+        return bucket_node_margin(min(self._margin[n] for n in nodes))
+
     # -- selection ----------------------------------------------------------------
 
     def select(self, count: int) -> Optional[List[int]]:
         """Pick ``count`` free nodes, exactly as
-        ``MarginAwareAllocationPolicy.select`` would order them:
+        ``MarginAwareAllocationPolicy.select`` would from an
+        index-ordered free list:
         fastest uniform *bucket* that alone satisfies the request (in
         node-index order), else fastest-first overall."""
         if count <= 0:
@@ -289,23 +299,6 @@ class _BucketPool:
         return nodes
 
 
-#: Public name for the incremental free-node pool: the HA control
-#: plane (:mod:`repro.service.ha`) replicates one per daemon.
-BucketPool = _BucketPool
-
-
-class _ShardView:
-    """Freshness bookkeeping for one shard's contribution to the pool
-    (the pool itself holds the materialized view)."""
-
-    __slots__ = ("seq", "cached_at_s", "dirty")
-
-    def __init__(self):
-        self.seq = -1
-        self.cached_at_s = float("-inf")
-        self.dirty = True
-
-
 class PlacementDaemon:
     """Async margin-aware placement service (see module docstring).
 
@@ -322,11 +315,10 @@ class PlacementDaemon:
         self.config = (config if config is not None
                        else DaemonConfig()).validate()
         self.stats = DaemonStats()
-        self.decisions: List[Decision] = []
         self._sink = decision_sink
-        self._pool = _BucketPool()
-        self._views = [_ShardView()
-                       for _ in range(registry.shard_count)]
+        self._pool = BucketPool()
+        #: Per shard, the ``last_seq`` the pool last folded (-1: never).
+        self._seen_seq = [-1] * registry.shard_count
         self._now_s = 0.0
         self._decision_seq = 0
         self._queue: Optional[asyncio.Queue] = None
@@ -494,14 +486,13 @@ class PlacementDaemon:
             self.stats.duplicate += 1
             decision = self._emit(req.job_id, DUPLICATE)
         else:
-            self._refresh_views()
+            self._refresh_pool()
             chosen = self._pool.select(req.nodes_requested)
             if chosen is None:
                 self.stats.unsatisfiable += 1
                 decision = self._emit(req.job_id, UNSATISFIABLE)
             else:
-                bucket = bucket_node_margin(
-                    min(self._pool.margin(n) for n in chosen))
+                bucket = self._pool.bucket(chosen)
                 self._pool.allocate(chosen, req.job_id)
                 self.stats.placed += 1
                 decision = self._emit(req.job_id, PLACED,
@@ -525,42 +516,31 @@ class PlacementDaemon:
     def _process_write(self, write: RegistryWrite) -> None:
         sid = self.registry.shard_id(write.node)
         shard = self.registry.shard(sid)
-        view = self._views[sid]
         pre_seq = shard.last_seq
         self.registry.record(write.kind, write.node,
                              time_s=self._now_s, **write.payload)
         record = self.registry.node(write.node)
         self._pool.set_margin(write.node,
                               record.effective_margin_mts)
-        if not view.dirty and view.seq == pre_seq:
-            # The view was coherent and this daemon made the only
-            # write: fold the increment, no rebuild.
-            view.seq = shard.last_seq
-        else:
-            view.dirty = True
+        if self._seen_seq[sid] == pre_seq:
+            # The pool was current for this shard and this daemon made
+            # the only write: the increment is folded, no re-fold.
+            self._seen_seq[sid] = shard.last_seq
         self.stats.writes += 1
 
     # -- cluster view -------------------------------------------------------------
 
-    def _refresh_views(self) -> None:
-        """Apply the PlacementService freshness law per shard: fresh ⇔
-        seq unchanged ∧ age < TTL (virtual clock).  Stale shards are
-        rebuilt into the pool; fresh ones are untouched."""
-        now = self._now_s
-        ttl = self.config.cache_ttl_s
-        for sid, view in enumerate(self._views):
-            shard = self.registry.shard(sid)
-            if (not view.dirty and view.seq == shard.last_seq and
-                    now - view.cached_at_s < ttl):
+    def _refresh_pool(self) -> None:
+        """Re-fold every shard whose ``last_seq`` moved since the pool
+        last saw it (the seq check in the module docstring)."""
+        seen = self._seen_seq
+        for sid, shard in enumerate(self.registry.shards):
+            if seen[sid] == shard.last_seq:
                 self.stats.cache_hits += 1
                 continue
             self.stats.cache_misses += 1
-            for record in shard.nodes():
-                self._pool.set_margin(record.node,
-                                      record.effective_margin_mts)
-            view.seq = shard.last_seq
-            view.cached_at_s = now
-            view.dirty = False
+            self._pool.fold(shard.nodes())
+            seen[sid] = shard.last_seq
 
     # -- decisions ----------------------------------------------------------------
 
@@ -571,8 +551,6 @@ class PlacementDaemon:
         decision = Decision(self._decision_seq, job_id, status, nodes,
                             bucket)
         self.stats.decisions += 1
-        if self.config.keep_decisions:
-            self.decisions.append(decision)
         if self._sink is not None:
             self._sink(decision)
         return decision

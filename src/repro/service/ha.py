@@ -51,7 +51,6 @@ from typing import (Callable, Deque, Dict, List, Optional, TextIO,
                     Tuple)
 
 from ..core.backoff import BackoffPolicy
-from ..core.margin_selection import bucket_node_margin
 from ..hpc.cluster import Cluster
 from ..obs import Recorder, get_recorder, recording
 from ..recovery import Checkpoint, CheckpointStore, NodeSupervisor
@@ -520,8 +519,7 @@ class HAControlPlane:
             self.stats.unsatisfiable += 1
             self._observe_latency(op)
             return True
-        bucket = bucket_node_margin(
-            min(daemon.pool.margin(n) for n in chosen))
+        bucket = daemon.pool.bucket(chosen)
         touched = sorted({
             self.groups.of_shard(self.registry.shard_id(n))
             for n in chosen})
@@ -747,10 +745,8 @@ class HAControlPlane:
         """Reconstruct a daemon's full-fleet replica from ground
         truth: registry margins plus the committed placement map."""
         pool = BucketPool()
-        for sid in range(self.registry.shard_count):
-            for record in self.registry.shard(sid).nodes():
-                pool.set_margin(record.node,
-                                record.effective_margin_mts)
+        for shard in self.registry.shards:
+            pool.fold(shard.nodes())
         for job_id in sorted(self._placements):
             pool.allocate(self._placements[job_id], job_id)
         daemon.pool = pool

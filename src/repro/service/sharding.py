@@ -29,10 +29,11 @@ The facade duck-types the :class:`MarginRegistry` recording and query
 API (``record_*``, ``node``, ``nodes``, ``effective_margins``,
 ``bucket_counts``, ``last_seq``), so :class:`~repro.fleet.FleetIngest`,
 :class:`~repro.hpc.cluster.Cluster.from_registry`, and
-:class:`~repro.fleet.PlacementService` all work unchanged on top of a
+:meth:`~repro.service.BucketPool.fold` all work unchanged on top of a
 sharded fleet.  ``last_seq`` is the *sum* of per-shard seqs — not a
-global ordering, but a version counter that changes on every write,
-which is all the seq-invalidation cache law needs.
+global ordering, but a version counter that changes on every write.
+The placement daemon checks the per-shard seqs instead, so it
+re-folds only the shard that changed.
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ class SoakConfig:
     queue_limit: int = 512
     event_queue_limit: int = 4096
     batch_max: int = 256
-    cache_ttl_s: float = 60.0
     compact_every: int = 2048
     snapshot_every_bursts: int = 256
     p999_budget_s: float = 0.25
@@ -97,18 +96,13 @@ class SoakConfig:
             raise ValueError("events must be positive")
         if self.verify and self.verify_events <= 0:
             raise ValueError("verify_events must be positive")
-        DaemonConfig(queue_limit=self.queue_limit,
-                     event_queue_limit=self.event_queue_limit,
-                     batch_max=self.batch_max,
-                     cache_ttl_s=self.cache_ttl_s).validate()
+        self.daemon_config().validate()
         return self
 
     def daemon_config(self) -> DaemonConfig:
         return DaemonConfig(queue_limit=self.queue_limit,
                             event_queue_limit=self.event_queue_limit,
-                            batch_max=self.batch_max,
-                            cache_ttl_s=self.cache_ttl_s,
-                            keep_decisions=False)
+                            batch_max=self.batch_max)
 
 
 class _DecisionLog:

@@ -1,14 +1,28 @@
-"""Tests for the placement service, registry-backed clusters, and the
-degradation-ladder ingestion hooks (the PR's acceptance criteria)."""
+"""Tests for placement over registry margins (the pool behind
+``repro fleet place``), registry-backed clusters, and the
+degradation-ladder ingestion hooks."""
+
+import asyncio
+import json
+import pathlib
+import random
 
 import pytest
 
 from repro.fleet import (FleetConfig, FleetIngest, FleetProfiler,
-                        MarginRegistry, PlacementService)
-from repro.hpc import (Cluster, EasyBackfillScheduler, Job,
+                         MarginRegistry)
+from repro.fleet.registry import canonical_json
+from repro.hpc import (Cluster, EasyBackfillScheduler,
                        MarginAwareAllocationPolicy, PerformanceModel,
                        SystemSimulator, TraceConfig, generate_trace)
 from repro.resilience import build_ladder
+from repro.service import (BucketPool, PlaceRequest, PlacementDaemon,
+                           ShardedRegistry)
+
+#: Decisions recorded for :func:`_seeded_fleet`, one JSON line per job.
+DECISIONS = pathlib.Path(__file__).parent / "data" / \
+    "fleet_place_decisions.jsonl"
+STREAM_SEEDS = (1, 2, 3, 2026)
 
 
 def _profiled_registry(nodes=24, **overrides):
@@ -26,108 +40,88 @@ def _mixed_registry():
     return registry
 
 
+def _seeded_fleet(seed):
+    """A registry with sparse node ids, demotions, promotions and
+    retirements, plus the job widths placed over it (one oversized)."""
+    rng = random.Random(seed)
+    registry = MarginRegistry()
+    ids = rng.sample(range(240), 60)
+    for node in ids:
+        registry.record_profile(
+            node, rng.choice((800, 800, 800, 600, 600, 400, 200, 0)))
+    for node in rng.sample(ids, 12):
+        registry.record_demotion(node, rng.choice((600, 400, 200, 0)))
+    for node in rng.sample(ids, 4):
+        registry.record_promotion(node, 800)
+    for node in rng.sample(ids, 3):
+        registry.record_retirement(node)
+    widths = [rng.randint(1, 8) for _ in range(12)]
+    widths.insert(rng.randrange(len(widths)), len(ids) + 1)
+    return registry, widths
+
+
+def _place(registry, widths):
+    """``repro fleet place``: jobs in batch order (id = position), each
+    taking its nodes out of a pool filled from the registry; returns
+    ``(nodes, bucket)`` per job, ``None`` when unplaced."""
+    pool = BucketPool()
+    pool.fold(registry.nodes())
+    out = []
+    for job, width in enumerate(widths):
+        chosen = pool.select(width)
+        if chosen is not None:
+            pool.allocate(chosen, job)
+            chosen = (tuple(chosen), pool.bucket(chosen))
+        out.append(chosen)
+    return out
+
+
 # -- placement matches the paper's policy -------------------------------------
+
+
+def test_place_reproduces_recorded_decision_stream():
+    lines = []
+    for seed in STREAM_SEEDS:
+        registry, widths = _seeded_fleet(seed)
+        for job, placed in enumerate(_place(registry, widths)):
+            lines.append(canonical_json({
+                "fleet": seed, "job": job, "width": widths[job],
+                "nodes": None if placed is None else list(placed[0]),
+                "bucket": None if placed is None else placed[1]}))
+    recorded = DECISIONS.read_text()
+    assert "".join(line + "\n" for line in lines) == recorded
+    # The stream exercises every bucket and an oversized job.
+    records = [json.loads(line) for line in recorded.splitlines()]
+    assert {r["bucket"] for r in records} == {800, 600, 0, None}
+    assert any(r["nodes"] is None and r["width"] > 60 for r in records)
 
 
 def test_place_matches_policy_run_directly():
     registry = _profiled_registry()
-    service = PlacementService(registry)
     widths = [4, 8, 2, 6, 1, 3]
-    assignments = service.place(widths)
+    placements = _place(registry, widths)
 
     policy = MarginAwareAllocationPolicy()
     free = list(Cluster.from_registry(registry).nodes)
-    for width, assignment in zip(widths, assignments):
+    for width, placed in zip(widths, placements):
         chosen = policy.select(free, width)
         if chosen is None:
-            assert assignment is None
+            assert placed is None
             continue
         free = [n for n in free if n not in chosen]
-        assert assignment.nodes == tuple(n.index for n in chosen)
+        assert placed[0] == tuple(n.index for n in chosen)
 
 
 def test_place_prefers_uniform_fast_group():
-    service = PlacementService(_mixed_registry())
-    (assignment,) = service.place([3])
-    assert assignment.margin_bucket == 800
-    assert len(assignment.nodes) == 3
+    ((nodes, bucket),) = _place(_mixed_registry(), [3])
+    assert bucket == 800
+    assert len(nodes) == 3
 
 
 def test_oversized_job_yields_none_without_blocking_later_jobs():
-    service = PlacementService(_mixed_registry())
-    huge, small = service.place([99, 2])
+    huge, small = _place(_mixed_registry(), [99, 2])
     assert huge is None
     assert small is not None
-
-
-def test_place_accepts_jobs_tuples_and_ints():
-    service = PlacementService(_mixed_registry())
-    job = Job(job_id=7, submit_s=0.0, nodes_requested=2,
-              base_runtime_s=10.0, memory_utilization=0.2)
-    by_job, by_tuple, by_int = service.place([job, (9, 2), 2])
-    assert by_job.job_id == 7
-    assert by_tuple.job_id == 9
-    assert by_int.job_id == 2        # positional id
-    with pytest.raises(ValueError):
-        service.place([0])
-
-
-# -- the TTL'd cache ----------------------------------------------------------
-
-
-def test_cache_hits_within_ttl_and_seq():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0)
-    service.place([2], now_s=0.0)
-    service.place([2], now_s=50.0)
-    assert service.cache_hits == 1
-    assert service.cache_misses == 1
-
-
-def test_cache_expires_after_ttl():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0)
-    service.place([2], now_s=0.0)
-    service.place([2], now_s=100.0)
-    assert service.cache_misses == 2
-
-
-def test_registry_event_invalidates_cache_immediately():
-    registry = _mixed_registry()
-    service = PlacementService(registry, cache_ttl_s=1e9)
-    service.place([2], now_s=0.0)
-    registry.record_demotion(0, 0)
-    service.place([2], now_s=1.0)
-    assert service.cache_misses == 2
-
-
-def test_cache_ttl_validation():
-    with pytest.raises(ValueError):
-        PlacementService(_mixed_registry(), cache_ttl_s=0.0)
-
-
-def test_cache_age_survives_clock_step_backwards():
-    """NTP-step regression: the injectable clock jumping backwards
-    (or a caller passing a smaller now_s) must not make the cached
-    view look younger — the high-water clamp freezes time instead."""
-    ticks = iter([100.0, 20.0, 150.0])
-    service = PlacementService(_mixed_registry(), cache_ttl_s=100.0,
-                               clock=lambda: next(ticks))
-    service.place([2])                    # miss at t=100
-    service.place([2])                    # clock stepped back to 20
-    assert service.cache_hits == 1        # clamped to 100: still fresh
-    service.place([2])                    # t=150: age 50 < ttl
-    assert service.cache_hits == 2
-    assert service.cache_misses == 1
-
-
-def test_explicit_now_s_backwards_is_clamped():
-    service = PlacementService(_mixed_registry(), cache_ttl_s=50.0)
-    service.place([2], now_s=100.0)
-    service.place([2], now_s=0.0)         # stale caller clock
-    assert service.cache_hits == 1
-    # Time stays at the high-water mark, so the TTL still expires
-    # relative to it rather than to the bogus earlier value.
-    service.place([2], now_s=160.0)
-    assert service.cache_misses == 2
 
 
 # -- acceptance: a demotion changes the next placement ------------------------
@@ -135,15 +129,40 @@ def test_explicit_now_s_backwards_is_clamped():
 
 def test_demotion_event_changes_next_placement():
     registry = _mixed_registry()
-    service = PlacementService(registry)
-    (before,) = service.place([3])
-    assert before.margin_bucket == 800
+    (before,) = _place(registry, [3])
+    assert before[1] == 800
     # Demote one of the fast nodes the first answer used.
-    victim = before.nodes[0]
+    victim = before[0][0]
     registry.record_demotion(victim, 0, reason="epoch trip")
-    (after,) = service.place([3])
-    assert victim not in after.nodes
+    (after,) = _place(registry, [3])
+    assert victim not in after[0]
     assert after != before
+
+
+def test_registry_event_invalidates_cache_immediately():
+    """The daemon's pool re-folds a shard only when its ``last_seq``
+    moves: virtual time alone never refreshes it, and an out-of-band
+    registry event is seen by the very next placement, at the cost of
+    re-folding just the owning shard."""
+    registry = ShardedRegistry(shards=4)
+    for i, margin in enumerate([800, 800, 800, 600, 600, 0, 800, 600]):
+        registry.record_profile(i, margin)
+
+    async def main():
+        async with PlacementDaemon(registry) as daemon:
+            first = await daemon.submit(PlaceRequest(1, 2))
+            await daemon.submit_tick(1e6)
+            await daemon.submit(PlaceRequest(2, 1))
+            misses = daemon.stats.cache_misses
+            registry.record_demotion(6, 0)
+            third = await daemon.submit(PlaceRequest(3, 2))
+            return first, third, misses, daemon.stats
+
+    first, third, misses, stats = asyncio.run(main())
+    assert first.nodes == (0, 1)
+    assert misses == registry.shard_count         # cold fold only
+    assert stats.cache_misses == misses + 1       # the demoted shard
+    assert 6 not in third.nodes
 
 
 # -- registry-backed clusters -------------------------------------------------

@@ -211,6 +211,39 @@ def test_repair_log_drops_torn_tail(tmp_path):
     assert MarginRegistry(tmp_path / "fleet").last_seq == 3
 
 
+def test_append_after_torn_tail_survives_reload(tmp_path):
+    """Regression: the first append after loading a torn log used to
+    land straight after the fragment, so a reload dropped it (the
+    merged line reads as one torn tail) and lost an acknowledged
+    event."""
+    reg = MarginRegistry(tmp_path / "fleet")
+    for node in range(3):
+        reg.record_profile(node, 800)
+    with open(reg.events_path, "a") as fh:
+        fh.write('{"seq":4,"time_s":')
+    reopened = MarginRegistry(tmp_path / "fleet")
+    assert reopened.record_profile(3, 600).seq == 4
+    reloaded = MarginRegistry(tmp_path / "fleet")
+    assert reloaded.last_seq == 4
+    assert reloaded.node(3).margin_mts == 600
+    assert reloaded.events_path.read_text().endswith("\n")
+
+
+def test_append_after_unterminated_final_line(tmp_path):
+    """A crash between an event's bytes and its newline leaves a valid
+    but unterminated line; the next append must not join onto it."""
+    reg = MarginRegistry(tmp_path / "fleet")
+    reg.record_profile(0, 800)
+    reg.record_profile(1, 600)
+    reg.events_path.write_text(reg.events_path.read_text()[:-1])
+    reopened = MarginRegistry(tmp_path / "fleet")
+    assert reopened.last_seq == 2
+    reopened.record_demotion(0, 200)
+    reloaded = MarginRegistry(tmp_path / "fleet")
+    assert reloaded.last_seq == 3
+    assert reloaded.node(0).effective_margin_mts == 200
+
+
 def test_repair_log_is_noop_when_clean(tmp_path):
     reg = MarginRegistry(tmp_path / "fleet")
     reg.record_profile(0, 800)

@@ -7,13 +7,12 @@ import asyncio
 
 import pytest
 
-from repro.fleet import (FleetIngest, MarginRegistry, PlacementService,
-                        RegistryError)
+from repro.fleet import FleetIngest, MarginRegistry, RegistryError
 from repro.hpc import Cluster, MarginAwareAllocationPolicy
 from repro.recovery import CheckpointStore, RecoveryManager
 from repro.resilience import build_ladder
-from repro.service import (DaemonConfig, PlaceRequest, PlacementDaemon,
-                           RegistryWrite, ReleaseRequest,
+from repro.service import (BucketPool, DaemonConfig, PlaceRequest,
+                           PlacementDaemon, RegistryWrite, ReleaseRequest,
                            ShardedRegistry, shard_for_node)
 
 #: Margins with sub-bucket spread (400/200 both bucket to 0) so the
@@ -135,6 +134,21 @@ def test_manifest_temp_files_fsynced_before_rename(tmp_path,
     assert all(was_synced for _, was_synced in manifests), manifests
 
 
+def test_reopened_shard_with_torn_log_takes_new_events(tmp_path):
+    """Regression: appends to a reopened shard whose log ends in a torn
+    line used to corrupt it (the reload raised ``corrupt event``)."""
+    registry = _sharded(path=tmp_path / "fleet")
+    sid = registry.shard_id(0)
+    with open(registry.shard(sid).events_path, "a") as fh:
+        fh.write('{"seq":99,"time_s":')
+    reopened = ShardedRegistry(tmp_path / "fleet", create=False)
+    for i in range(6):
+        reopened.record_demotion(0, 0 if i % 2 else 200)
+    reloaded = ShardedRegistry(tmp_path / "fleet", create=False)
+    assert reloaded.fingerprint() == reopened.fingerprint()
+    assert reloaded.shard(sid).last_seq == reopened.shard(sid).last_seq
+
+
 def test_torn_manifest_falls_back_to_bak_and_heals(tmp_path):
     registry = _sharded(path=tmp_path / "fleet", shards=4)
     registry.manifest_path.write_text('{"format": 1, "sha')   # torn
@@ -246,14 +260,17 @@ def test_cluster_and_placement_service_over_sharded_fleet():
     cluster = Cluster.from_registry(registry)
     assert [n.effective_margin_mts for n in cluster.nodes] == \
         registry.effective_margins()
-    service = PlacementService(registry, cache_ttl_s=1e9)
-    (first,) = service.place([2], now_s=0.0)
-    assert first.margin_bucket == 800
-    # A write through the facade bumps the version counter and
-    # invalidates the cached view immediately.
-    registry.record_demotion(first.nodes[0], 0)
-    service.place([2], now_s=1.0)
-    assert service.cache_misses == 2
+    pool = BucketPool()
+    pool.fold(registry.nodes())
+    first = pool.select(2)
+    assert pool.bucket(first) == 800
+    # A write through the facade bumps the version counter, and a pool
+    # folded from the new state no longer picks the demoted node.
+    seq = registry.last_seq
+    registry.record_demotion(first[0], 0)
+    assert registry.last_seq == seq + 1
+    pool.fold(registry.nodes())
+    assert first[0] not in pool.select(2)
 
 
 def test_recovery_manager_uses_owning_shard(tmp_path):
@@ -420,8 +437,7 @@ def test_registry_writes_block_instead_of_shedding():
 
 def test_view_cache_hits_and_external_write_invalidation():
     registry = _sharded()
-    config = DaemonConfig(queue_limit=8, event_queue_limit=64,
-                          cache_ttl_s=1e9)
+    config = DaemonConfig(queue_limit=8, event_queue_limit=64)
 
     async def main():
         async with PlacementDaemon(registry, config) as daemon:
@@ -520,8 +536,6 @@ def test_daemon_config_validation():
         DaemonConfig(queue_limit=8, event_queue_limit=8).validate()
     with pytest.raises(ValueError):
         DaemonConfig(batch_max=0).validate()
-    with pytest.raises(ValueError):
-        DaemonConfig(cache_ttl_s=0.0).validate()
     with pytest.raises(ValueError):
         ShardedRegistry(shards=0)
     with pytest.raises(ValueError):

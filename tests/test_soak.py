@@ -187,6 +187,69 @@ def test_cli_serve_loads_sharded_registry(tmp_path, capsys):
     assert decision["bucket"] == 800
 
 
+def test_cli_serve_ha_round_trip_matches_single_daemon(tmp_path,
+                                                       capsys):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("\n".join([
+        '{"op": "tick", "now_s": 1.0}',
+        '{"op": "place", "job": 1, "nodes": 2}',
+        '{"op": "write", "kind": "demote", "node": 0, '
+        '"payload": {"margin_mts": 0, "reason": "cli"}}',
+        '{"op": "place", "job": 2, "nodes": 3}',
+        '{"op": "release", "job": 1}',
+        '{"op": "place", "job": 3, "nodes": 2}',
+    ]) + "\n")
+    outs = []
+    for daemons in ("1", "3"):
+        out_file = tmp_path / "decisions-{}.jsonl".format(daemons)
+        rc = main(["--seed", "7", "serve", "--nodes", "16",
+                   "--shards", "4", "--daemons", daemons,
+                   "--requests", str(requests), "--out", str(out_file)])
+        assert rc == 0
+        outs.append(out_file.read_text())
+    err = capsys.readouterr().err
+    assert "3 daemons, 4 decisions (placed 3" in err
+    decisions = [json.loads(l) for l in outs[1].splitlines()]
+    assert [d["status"] for d in decisions] == \
+        ["placed", "placed", "released", "placed"]
+    assert outs[1] == outs[0]
+
+
+def test_cli_serve_ha_bad_lines_are_reported_and_skipped(tmp_path,
+                                                         capsys):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("\n".join([
+        '{"op": "place", "job": 1, "nodes": 2}',
+        'not json',
+        '{"op": "place", "job": 2, "nodes": 0}',
+        '',
+        '{"op": "write", "kind": "bogus", "node": 1}',
+        '{"op": "reboot"}',
+        '{"op": "release", "job": 1}',
+    ]) + "\n")
+    out_file = tmp_path / "decisions.jsonl"
+    rc = main(["serve", "--nodes", "16", "--daemons", "2",
+               "--requests", str(requests), "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line.split(":")[1] for line in err.splitlines()
+            if "bad request" in line] == \
+        [" bad request line 2", " bad request line 3",
+         " bad request line 5", " bad request line 6"]
+    assert "jobs need at least one node" in err
+    assert "unknown event kind 'bogus'" in err
+    assert "unknown op 'reboot'" in err
+    assert [json.loads(l)["status"] for l in
+            out_file.read_text().splitlines()] == ["placed", "released"]
+
+
+def test_cli_serve_ha_rejects_registry(tmp_path, capsys):
+    rc = main(["serve", "--daemons", "2",
+               "--registry", str(tmp_path / "fleet")])
+    assert rc == 2
+    assert "--registry is not supported" in capsys.readouterr().err
+
+
 def test_report_rejects_empty_run():
     report = SoakReport(events=0, decisions=0, nodes=1, shards=1,
                         seed=0, target_events=100, stats={},
