@@ -19,7 +19,7 @@ Two Hetero-DMR-specific hooks extend the plain cache:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Cache line size in bytes throughout the system.
 LINE_BYTES = 64
@@ -66,8 +66,10 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         # set index -> {tag: dirty}
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(nsets)]
-        # tags that were proactively cleaned and are still resident clean
-        self._cleaned_tags: List[set] = [set() for _ in range(nsets)]
+        # (set index, tag) of lines proactively cleaned and still
+        # resident clean; one set per cache, empty unless Hetero-DMR
+        # cleans this cache.
+        self._cleaned: Set[Tuple[int, int]] = set()
         self.stats = CacheStats()
 
     # -- address helpers -----------------------------------------------------
@@ -90,9 +92,10 @@ class Cache:
         if tag in ways:
             dirty = ways.pop(tag)
             if is_write:
-                if not dirty and tag in self._cleaned_tags[idx]:
+                if not dirty and self._cleaned and \
+                        (idx, tag) in self._cleaned:
                     self.stats.cleaned_rewrites += 1
-                    self._cleaned_tags[idx].discard(tag)
+                    self._cleaned.discard((idx, tag))
                 dirty = True
             ways[tag] = dirty
             self.stats.hits += 1
@@ -112,7 +115,8 @@ class Cache:
         elif len(ways) >= self.assoc:
             victim_tag, victim_dirty = next(iter(ways.items()))
             del ways[victim_tag]
-            self._cleaned_tags[idx].discard(victim_tag)
+            if self._cleaned:
+                self._cleaned.discard((idx, victim_tag))
             if victim_dirty:
                 self.stats.writebacks += 1
                 victim_addr = self._rebuild(idx, victim_tag)
@@ -122,7 +126,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line for ``addr`` if present (no writeback)."""
         idx, tag = self._index_tag(addr)
-        self._cleaned_tags[idx].discard(tag)
+        self._cleaned.discard((idx, tag))
         return self._sets[idx].pop(tag, None) is not None
 
     def contains(self, addr: int) -> bool:
@@ -179,16 +183,26 @@ class Cache:
 
     def dirty_lru_blocks(self, limit: int) -> List[int]:
         """Addresses of up to ``limit`` dirty lines, least-recently-used
-        first (round-robining across sets in LRU order)."""
+        first: every set's LRU way (in set order), then every set's
+        second-LRU way, and so on.  Empty for ``limit <= 0``."""
+        if limit <= 0:
+            return []
+        # One pass buckets dirty lines by LRU depth (per set, dict
+        # order is LRU -> MRU); the buckets are then emitted in order.
+        by_depth: List[List[Tuple[int, int]]] = [
+            [] for _ in range(self.assoc)]
+        for idx, ways in enumerate(self._sets):
+            depth = 0
+            for tag, dirty in ways.items():
+                if dirty:
+                    by_depth[depth].append((idx, tag))
+                depth += 1
         out: List[int] = []
-        # Per set, dict order is LRU -> MRU; walk depth-first by recency.
-        for depth in range(self.assoc):
-            for idx, ways in enumerate(self._sets):
-                items = list(ways.items())
-                if depth < len(items) and items[depth][1]:
-                    out.append(self._rebuild(idx, items[depth][0]))
-                    if len(out) >= limit:
-                        return out
+        for bucket in by_depth:
+            for idx, tag in bucket:
+                out.append(self._rebuild(idx, tag))
+                if len(out) >= limit:
+                    return out
         return out
 
     def clean_blocks(self, addrs: List[int]) -> List[int]:
@@ -200,7 +214,7 @@ class Cache:
             ways = self._sets[idx]
             if ways.get(tag):
                 ways[tag] = False
-                self._cleaned_tags[idx].add(tag)
+                self._cleaned.add((idx, tag))
                 cleaned.append(addr)
                 self.stats.cleaned += 1
         return cleaned

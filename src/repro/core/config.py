@@ -41,6 +41,8 @@ class HeteroDMRConfig:
     def __post_init__(self) -> None:
         if self.margin_mts < 0:
             raise ValueError("margin must be non-negative")
+        if self.write_batch_target <= 0:
+            raise ValueError("write_batch_target must be positive")
         if not 0.0 < self.replication_limit <= 1.0:
             raise ValueError("replication limit must be in (0, 1]")
         if not 0.0 <= self.read_error_rate <= 1.0:

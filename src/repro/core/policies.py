@@ -18,11 +18,12 @@ Four designs from Section IV-A:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
-from ..mem_ctrl.policy import AccessPolicy, CONVENTIONAL_TURNAROUND_NS
+from ..mem_ctrl.policy import (AccessPolicy, CONVENTIONAL_TURNAROUND_NS,
+                               SteerEntry, single_copy_steering)
 from ..mem_ctrl.queues import ReadRequest
 from .config import HeteroDMRConfig
 from .epoch_guard import EpochGuard
@@ -67,7 +68,7 @@ class FmrPolicy(AccessPolicy):
     broadcast_writes = True
     uses_writeback_cache = True
 
-    def rank_map(self, channel: Channel) -> None:
+    def _build_steering(self, channel: Channel) -> None:
         return None
 
     def read_rank(self, channel: Channel, request: ReadRequest,
@@ -114,11 +115,11 @@ class HeteroDMRPolicy(AccessPolicy):
         nfree = len(channel.modules[self.free_module_index].ranks)
         return range(base, base + nfree)
 
-    def rank_map(self, channel: Channel) -> Optional[Sequence[int]]:
+    def _build_steering(self, channel: Channel) -> List[SteerEntry]:
         """Copies live at the same location in the Free Module, so reads
         touch only that module's ranks (Section III-A2): logical rank
         ``r`` reads the Free Module's rank ``r % nfree``."""
-        return self._per_channel(channel, self._free_ranks)
+        return single_copy_steering(channel, self._free_ranks(channel))
 
     # -- write mode: frequency transitions ------------------------------------------
 
@@ -178,40 +179,26 @@ class HeteroFmrPolicy(HeteroDMRPolicy):
 
     name = "hetero-dmr+fmr"
 
-    def rank_map(self, channel: Channel) -> None:
-        return None
-
-    def _copy_ranks(self, channel: Channel) -> List[Tuple]:
-        """Per Free Module rank: ``(home, home_banks, alt, alt_banks)``,
-        the home copy's flat rank and the next copy rank round the
-        module, each with its bank list."""
+    def _build_steering(self, channel: Channel) -> List[SteerEntry]:
+        """Per Free Module rank: the home copy and, as the alternate,
+        the next copy rank round the module."""
         free = self._free_ranks(channel)
         pairs = channel.all_ranks()
         out = []
         for i, home in enumerate(free):
             alt = free[(i + 1) % len(free)]
-            out.append((home, pairs[home][1].banks,
-                        alt, pairs[alt][1].banks))
+            out.append((home, pairs[home][1], pairs[home][1].banks,
+                        alt, pairs[alt][1], pairs[alt][1].banks))
         return out
 
     def read_rank(self, channel: Channel, request: ReadRequest,
                   now_ns: float) -> int:
         # FMR's contribution on top of Hetero-DMR is picking whichever
         # copy is "in the faster state" — i.e., whose row buffer holds
-        # the row.  The home copy rank serves everything else.
-        # _per_channel inlined: this runs once per scanned candidate.
-        pairs = channel.all_ranks()
-        cached = self._table
-        if cached[0] is not pairs:
-            cached = self._table = (pairs, self._copy_ranks(channel))
-        copies = cached[1]
-        loc = request.location
-        home, home_banks, alt, alt_banks = copies[loc.rank % len(copies)]
-        if home_banks[loc.bank].open_row == loc.row:
-            return home
-        if alt_banks[loc.bank].open_row == loc.row:
-            return alt
-        return home
+        # the row.  The home copy rank serves everything else.  That
+        # rule is ReadRequest.serving's; the scheduler's scan inlines it.
+        self.resolve(channel, request)
+        return request.serving()[0]
 
     def writes_per_transaction(self) -> int:
         return 3

@@ -13,14 +13,27 @@ from dataclasses import dataclass
 from ..cache.cache import LINE_BYTES
 
 
-@dataclass(frozen=True)
 class MemLocation:
-    """A decoded DRAM coordinate."""
-    channel: int
-    rank: int
-    bank: int
-    row: int
-    column: int
+    """A decoded DRAM coordinate.
+
+    A plain slotted record: one is built per memory request, and a
+    frozen dataclass's ``object.__setattr__`` initialiser cost more
+    than the decode itself."""
+
+    __slots__ = ("channel", "rank", "bank", "row", "column")
+
+    def __init__(self, channel: int, rank: int, bank: int, row: int,
+                 column: int):
+        self.channel = channel
+        self.rank = rank
+        self.bank = bank
+        self.row = row
+        self.column = column
+
+    def __repr__(self) -> str:
+        return ("MemLocation(channel={}, rank={}, bank={}, row={}, "
+                "column={})".format(self.channel, self.rank, self.bank,
+                                    self.row, self.column))
 
 
 @dataclass(frozen=True)
@@ -40,6 +53,10 @@ class AddressMapping:
             if value <= 0 or value & (value - 1):
                 raise ValueError(
                     "{} must be a positive power of two".format(name))
+
+    def channel_of(self, address: int) -> int:
+        """The channel field of :meth:`decode`, alone."""
+        return address // LINE_BYTES % self.channels
 
     def decode(self, address: int) -> MemLocation:
         """Decode a byte address into its DRAM coordinate."""

@@ -122,12 +122,12 @@ class ChannelController:
 
     def submit_read(self, address: int, now_ns: float,
                     callback: Callable[[float], None], core_id: int = -1,
-                    is_prefetch: bool = False) -> None:
+                    is_prefetch: bool = False,
+                    location: Optional[MemLocation] = None) -> None:
         """Queue a read for ``address``; ``callback(finish_ns)`` fires
-        when its data returns."""
-        loc = self.mapping.decode(address)
-        line = address
-        if self.wb_cache is not None and self.wb_cache.contains(line):
+        when its data returns.  ``location`` is the address's decode,
+        when the caller already has it."""
+        if self.wb_cache is not None and self.wb_cache.contains(address):
             # Forward buffered dirty data without touching DRAM.
             self.stats.wb_cache_forwards += 1
             self.engine.schedule(now_ns + 1.0, lambda: callback(now_ns + 1.0))
@@ -138,6 +138,8 @@ class ChannelController:
             # was fetched.
             self.engine.schedule(now_ns, lambda: callback(None))
             return
+        if location is None:
+            location = self.mapping.decode(address)
         if len(self.read_queue) >= READ_QUEUE_ENTRIES:
             # Back-pressure on demand reads: retry (rare: bounded MLP
             # keeps demand occupancy below the queue size).
@@ -145,25 +147,29 @@ class ChannelController:
             self.engine.schedule_in(
                 200.0, lambda: self.submit_read(address, self.engine.now,
                                                 callback, core_id,
-                                                is_prefetch))
+                                                is_prefetch, location))
             return
-        self.read_queue.append(ReadRequest(loc, now_ns, callback, core_id,
-                                           is_prefetch))
+        req = ReadRequest(location, now_ns, callback, core_id, is_prefetch)
+        # Resolve the serving bank once; the scheduler reads it off the
+        # request on every later scan.
+        self.policy.resolve(self.channel, req)
+        self.read_queue.append(req)
         self._pump()
 
     def submit_write(self, address: int, now_ns: float,
                      from_cleaning: bool = False) -> None:
         """Queue a writeback.  Dirty evictions go through the writeback
         cache when the policy has one; overflow lands in the write
-        queue, which triggers write mode at its high watermark."""
-        loc = self.mapping.decode(address)
+        queue, which triggers write mode at its high watermark.  Only a
+        queued write is decoded."""
         if self.wb_cache is not None and not from_cleaning:
             if self.wb_cache.insert(address):
                 if (self.wb_cache.occupancy >= 0.95 and
                         self.mode == "read"):
                     self._enter_write_mode()
                 return
-        self.write_queue.append(WriteRequest(loc, now_ns, from_cleaning))
+        self.write_queue.append(WriteRequest(self.mapping.decode(address),
+                                             now_ns, from_cleaning))
         if len(self.write_queue) >= self.write_high and self.mode == "read":
             self._enter_write_mode()
 
@@ -182,33 +188,34 @@ class ChannelController:
     def _pump(self) -> None:
         """Issue queued reads, FR-FCFS, while inflight slots are free.
 
-        Ranks resolve through the policy's per-channel ``rank_map``
-        table; only a policy without one (steering that depends on bank
-        state) has its ``read_rank`` called, per scanned candidate."""
+        Queued reads carry their serving bank (resolved at submit);
+        only a policy without a steering table (steering that depends
+        on more bank state than a copy pair) has its ``read_rank``
+        called per scanned candidate.  Every policy names the copy of
+        each read it issues (:meth:`_issue_read`)."""
         # Reads are also served while a write batch drains: the channel
         # is at specification then (Hetero-DMR's "no benefit for
         # writes" — not "no service"), and the bus model naturally
         # interleaves read bursts into gaps between write chunks.
         now = self.engine.now
-        rank_map = self.policy.rank_map(self.channel)
-        read_rank = self.policy.read_rank if rank_map is None else None
+        read_rank = (self.policy.read_rank
+                     if self.policy.steering(self.channel) is None
+                     else None)
         while self.inflight < self.max_inflight and self.read_queue:
             idx = self.scheduler.pick(self.read_queue, self.channel, now,
-                                      rank_map, read_rank)
+                                      read_rank)
             if idx is None:
                 break
             req = self.read_queue.pop(idx)
-            self._issue_read(req, now, rank_map)
+            self._issue_read(req, now)
 
-    def _issue_read(self, req: ReadRequest, now_ns: float,
-                    rank_map: Optional[Sequence[int]]) -> None:
+    def _issue_read(self, req: ReadRequest, now_ns: float) -> None:
         loc = req.location
-        if rank_map is None:
-            flat_rank = self.policy.read_rank(self.channel, req, now_ns)
-        else:
-            flat_rank = rank_map[loc.rank % len(rank_map)]
-        _, rank = self.channel.locate_rank(flat_rank)
-        self.page_policy.apply(rank.banks[loc.bank], now_ns)
+        # One policy call per issued read; the scan made the same
+        # choice inline for each candidate it looked at.
+        flat_rank = self.policy.read_rank(self.channel, req, now_ns)
+        bank = self.channel.all_ranks()[flat_rank][1].banks[loc.bank]
+        self.page_policy.apply(bank, now_ns)
         finish = self.channel.access(flat_rank, loc.bank, loc.row, now_ns,
                                      is_write=False)
         finish = self.policy.on_read_complete(self.channel, req, finish)
@@ -369,13 +376,17 @@ class MemoryController:
     def submit_read(self, address: int, now_ns: float,
                     callback: Callable[[float], None], core_id: int = -1,
                     is_prefetch: bool = False) -> None:
+        """Decode ``address`` once and hand the read, with its
+        location, to its channel."""
         loc = self.mapping.decode(address)
         self.controllers[loc.channel].submit_read(
-            address, now_ns, callback, core_id, is_prefetch)
+            address, now_ns, callback, core_id, is_prefetch, loc)
 
     def submit_write(self, address: int, now_ns: float) -> None:
-        loc = self.mapping.decode(address)
-        self.controllers[loc.channel].submit_write(address, now_ns)
+        """Route a writeback by its channel field; the channel decodes
+        it only if it does not land in the writeback cache."""
+        self.controllers[self.mapping.channel_of(address)].submit_write(
+            address, now_ns)
 
     def drain(self) -> None:
         for ctrl in self.controllers:

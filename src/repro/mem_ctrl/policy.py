@@ -14,29 +14,45 @@ module defines the interface plus the conventional default.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
+from ..dram.bank import Bank
 from ..dram.channel import Channel
+from ..dram.rank import Rank
 from .queues import ReadRequest
 
 #: Bus turnaround cost of a conventional read<->write switch (~20 ns
 #: round trip, Section III-A1), charged half per direction.
 CONVENTIONAL_TURNAROUND_NS = 10.0
 
-T = TypeVar("T")
+#: One logical rank's row of a steering table: the home copy's
+#: ``(flat rank, Rank, bank list)``, then the alternate copy's, or three
+#: Nones when there is one copy to read.  A read is served by the
+#: alternate only when the home bank lacks its row and the alternate's
+#: bank holds it (:meth:`ReadRequest.serving`).
+SteerEntry = Tuple[int, Rank, List[Bank], Optional[int], Optional[Rank],
+                   Optional[List[Bank]]]
 
 
-def _identity_map(channel: Channel) -> Sequence[int]:
-    return range(channel.rank_count())
+def single_copy_steering(channel: Channel,
+                         flat_ranks: Sequence[int]) -> List[SteerEntry]:
+    """Steering table reading logical rank ``r`` from
+    ``flat_ranks[r % len(flat_ranks)]``, one copy each."""
+    pairs = channel.all_ranks()
+    return [(flat, pairs[flat][1], pairs[flat][1].banks, None, None, None)
+            for flat in flat_ranks]
 
 
 class AccessPolicy:
     """Conventional (Commercial Baseline) behaviour; subclass hooks.
 
-    Read steering that depends only on the logical rank is a per-channel
-    table, :meth:`rank_map`, which the scheduler indexes per scanned
-    candidate; steering that depends on bank state overrides
-    :meth:`read_rank` and returns None from :meth:`rank_map`.
+    Read steering that depends only on the logical rank, or on which of
+    two fixed copies has the row open, is a per-channel table,
+    :meth:`steering`.  The controller resolves each read against it
+    once, at enqueue (:meth:`resolve`), and the scheduler reads the
+    answer off the request.  Steering that depends on more bank state
+    than that overrides :meth:`read_rank`, builds no table and is
+    called per scanned candidate.
     """
 
     name = "baseline"
@@ -45,33 +61,51 @@ class AccessPolicy:
     #: Route dirty evictions through the per-channel writeback cache?
     uses_writeback_cache = False
 
-    def rank_map(self, channel: Channel) -> Optional[Sequence[int]]:
-        """Flat rank serving logical rank ``r``, at index
-        ``r % len(map)``, or None when the choice depends on bank state
-        (such a policy overrides :meth:`read_rank`).  Identity for the
-        baseline."""
-        return self._per_channel(channel, _identity_map)
-
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        """Flat rank that serves this read: its :meth:`rank_map` entry."""
-        table = self.rank_map(channel)
-        return table[request.location.rank % len(table)]
-
-    #: ``(rank list, table)``: the last channel's steering table, keyed
-    #: on the ``channel.all_ranks()`` list object it was built from.
-    _table: tuple = (None, None)
-
-    def _per_channel(self, channel: Channel,
-                     build: Callable[[Channel], T]) -> T:
-        """``build(channel)``, rebuilt whenever the channel's rank list
-        is a different object: another channel, or the same one after
-        ``invalidate_rank_cache``."""
+    def steering(self, channel: Channel) -> Optional[List[SteerEntry]]:
+        """The channel's steering table, one :data:`SteerEntry` per
+        logical rank at index ``r % len(table)``; None for a policy
+        steered per scanned candidate.  Cached per channel."""
         pairs = channel.all_ranks()
         cached = self._table
         if cached[0] is not pairs:
-            cached = self._table = (pairs, build(channel))
+            cached = self._table = (pairs, self._build_steering(channel))
         return cached[1]
+
+    def _build_steering(self,
+                        channel: Channel) -> Optional[List[SteerEntry]]:
+        """Identity for the baseline: logical rank ``r`` reads flat
+        rank ``r``."""
+        return single_copy_steering(channel, range(channel.rank_count()))
+
+    def resolve(self, channel: Channel, request: ReadRequest) -> None:
+        """Store the serving copy (and the alternate, for a two-copy
+        design) on ``request``; leaves a per-candidate policy's request
+        unresolved."""
+        table = self.steering(channel)
+        if table is None:
+            return
+        loc = request.location
+        flat, rank, banks, alt, alt_rank, alt_banks = \
+            table[loc.rank % len(table)]
+        request.flat_rank = flat
+        request.rank = rank
+        request.bank = banks[loc.bank]
+        if alt is not None:
+            request.alt_flat = alt
+            request.alt_rank = alt_rank
+            request.alt_bank = alt_banks[loc.bank]
+
+    def read_rank(self, channel: Channel, request: ReadRequest,
+                  now_ns: float) -> int:
+        """Flat rank that serves this read: its steering-table entry."""
+        table = self.steering(channel)
+        return table[request.location.rank % len(table)][0]
+
+    #: ``(rank list, table)``: the last channel's steering table, keyed
+    #: on the ``channel.all_ranks()`` list object it was built from, so
+    #: another channel, or the same one after ``invalidate_rank_cache``,
+    #: gets a rebuilt table.
+    _table: tuple = (None, None)
 
     def enter_write_mode(self, channel: Channel, now_ns: float) -> float:
         """Cost of switching the channel to write mode; returns the time

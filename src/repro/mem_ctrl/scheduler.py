@@ -11,7 +11,7 @@ request is forced.  Demand reads outrank prefetches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..dram.channel import Channel
 from .page_policy import PagePolicy
@@ -42,20 +42,21 @@ class FrFcfsScheduler:
         self.stats = SchedulerStats()
 
     def pick(self, queue: List[ReadRequest], channel: Channel,
-             now_ns: float, rank_map: Optional[Sequence[int]] = None,
+             now_ns: float,
              read_rank: Optional[Callable] = None) -> Optional[int]:
         """Return the queue index of the request to issue, or None when
         the queue is empty.
 
-        A request's flat rank is
-        ``rank_map[location.rank % len(rank_map)]`` for a static
-        policy's :meth:`~repro.mem_ctrl.policy.AccessPolicy.rank_map`
-        (identity over the channel's ranks when both are None), or
-        ``read_rank(channel, request, now_ns)`` for a policy whose
-        steering depends on bank state — called before the page policy
-        touches the candidate's bank, so it sees rows about to time out.
-        The page policy is inlined: a candidate's open row closes when
-        it has been idle longer than ``close_after_ns``.
+        Requests arrive resolved
+        (:meth:`~repro.mem_ctrl.policy.AccessPolicy.resolve`): a
+        request is served by its ``bank``, or by its ``alt_bank`` when
+        the home bank lacks the row and the alternate holds it.  A
+        policy whose steering depends on more bank state than that
+        passes its ``read_rank`` instead, and each candidate's flat rank
+        is ``read_rank(channel, request, now_ns)`` — called before the
+        page policy touches the candidate's bank, so it sees rows about
+        to time out.  The page policy is inlined: a candidate's open
+        row closes when it has been idle longer than ``close_after_ns``.
 
         The queue is arrival-ordered (the event loop processes
         submissions in time order), so the oldest request is index 0;
@@ -70,35 +71,43 @@ class FrFcfsScheduler:
         prefetch_hit_idx: Optional[int] = None
         other_rank_hit_idx: Optional[int] = None
         bus_rank = channel._last_bus_rank
-        # Hot loop: index the queue in place (no per-pick slice copy)
-        # and resolve ranks through the channel's cached pair list.
         pairs = channel.all_ranks()
-        if rank_map is None and read_rank is None:
-            rank_map = range(len(pairs))
-        nmap = len(rank_map) if read_rank is None else 0
         limit = len(queue)
         if limit > self.scan_window:
             limit = self.scan_window
+        # Hot loop: index the queue in place (no per-pick slice copy)
+        # and read each candidate's bank straight off the request.
         for i in range(limit):
             req = queue[i]
-            loc = req.location
+            row = req.location.row
             if read_rank is None:
-                rank = pairs[rank_map[loc.rank % nmap]][1]
+                bank = req.bank
+                open_row = bank.open_row
+                if open_row != row:
+                    alt = req.alt_bank
+                    if alt is not None and alt.open_row == row:
+                        bank = alt
+                        open_row = row
+                    elif open_row is None:
+                        continue
             else:
                 rank = pairs[read_rank(channel, req, now_ns)][1]
-            bank = rank.banks[loc.bank]
-            open_row = bank.open_row
-            if open_row is None:
-                continue
+                bank = rank.banks[req.location.bank]
+                open_row = bank.open_row
+                if open_row is None:
+                    continue
             if now_ns - bank.last_access_ns > close_after:
                 bank.open_row = None
                 continue
-            if open_row == loc.row:
+            if open_row == row:
                 if req.is_prefetch:
                     # Prefetch row hits yield to any demand hit.
                     if prefetch_hit_idx is None:
                         prefetch_hit_idx = i
                     continue
+                if read_rank is None:
+                    rank = req.alt_rank if bank is req.alt_bank \
+                        else req.rank
                 if bus_rank is None or rank is bus_rank:
                     # Same-rank hit: no bus switching bubble.
                     hit_idx = i
@@ -110,34 +119,30 @@ class FrFcfsScheduler:
         if hit_idx is None:
             hit_idx = prefetch_hit_idx
         if hit_idx is not None:
-            key = self._key(queue[hit_idx], channel, now_ns, rank_map,
-                            read_rank)
+            key = self._key(queue[hit_idx], channel, now_ns, read_rank)
             if key == self._last_bank and self._streak >= self.fairness_cap:
                 self.stats.fairness_overrides += 1
                 self._note(self._key(queue[oldest_idx], channel, now_ns,
-                                     rank_map, read_rank))
+                                     read_rank))
                 self.stats.oldest_picks += 1
                 return oldest_idx
             self._streak = self._streak + 1 if key == self._last_bank else 1
             self._last_bank = key
             self.stats.row_hit_picks += 1
             return hit_idx
-        self._note(self._key(queue[oldest_idx], channel, now_ns, rank_map,
-                             read_rank))
+        self._note(self._key(queue[oldest_idx], channel, now_ns, read_rank))
         self.stats.oldest_picks += 1
         return oldest_idx
 
     @staticmethod
     def _key(req: ReadRequest, channel: Channel, now_ns: float,
-             rank_map: Optional[Sequence[int]],
              read_rank: Optional[Callable]) -> tuple:
         """Fairness key ``(flat rank, bank)`` of ``req``."""
-        loc = req.location
         if read_rank is None:
-            flat_rank = rank_map[loc.rank % len(rank_map)]
+            flat_rank = req.serving()[0]
         else:
             flat_rank = read_rank(channel, req, now_ns)
-        return (flat_rank, loc.bank)
+        return (flat_rank, req.location.bank)
 
     def _note(self, key: tuple) -> None:
         if key == self._last_bank:

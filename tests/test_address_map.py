@@ -78,3 +78,10 @@ def test_decode_injective_per_line(a, b):
     if a != b:
         assert (la.channel, la.rank, la.bank, la.row, la.column) != \
             (lb.channel, lb.rank, lb.bank, lb.row, lb.column)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**40), st.sampled_from([1, 2, 4, 8]))
+def test_channel_of_is_decode_channel(address, channels):
+    m = AddressMapping(channels=channels)
+    assert m.channel_of(address) == m.decode(address).channel

@@ -145,6 +145,61 @@ def test_cleaned_rewrite_counted():
     assert c.stats.cleaned_rewrites == 1
 
 
+def test_cleaned_rewrite_forgotten_on_rewrite_and_eviction():
+    """Clean -> rewrite counts once; a cleaned line that is evicted and
+    refilled is a new line, so rewriting it is not a cleaned rewrite."""
+    c = small_cache(assoc=2, sets=1)
+    c.fill(0, dirty=True)
+    c.clean_blocks([0])
+    c.access(0, True)             # rewrite: counted, no longer cleaned
+    c.clean_blocks([0])
+    c.access(0, True)             # cleaned again, rewritten again
+    assert c.stats.cleaned_rewrites == 2
+    c.clean_blocks([0])
+    c.fill(64)
+    assert c.fill(128) is None    # evicts the cleaned (clean) line 0
+    assert not c.contains(0)
+    c.fill(0)                     # refill the same tag, clean
+    c.access(0, True)
+    assert c.stats.cleaned_rewrites == 2
+    c.access(0, True)             # dirty already: never counted
+    assert c.stats.cleaned_rewrites == 2
+
+
+def _dirty_lru_reference(cache, limit):
+    """The walk as first written: per LRU depth, per set, copy the
+    set's items and take the way at that depth if it is dirty."""
+    out = []
+    for depth in range(cache.assoc):
+        for idx, ways in enumerate(cache._sets):
+            items = list(ways.items())
+            if depth < len(items) and items[depth][1]:
+                out.append(cache._rebuild(idx, items[depth][0]))
+                if len(out) >= limit:
+                    return out
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(((1, 1), (2, 4), (4, 8), (8, 2))),
+       st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=120),
+       st.integers(1, 40))
+def test_dirty_lru_blocks_matches_reference_walk(geometry, ops, limit):
+    assoc, sets = geometry
+    c = small_cache(assoc=assoc, sets=sets)
+    for line, write in ops:
+        if not c.access(line * LINE_BYTES, write):
+            c.fill(line * LINE_BYTES, dirty=write)
+    assert c.dirty_lru_blocks(limit) == _dirty_lru_reference(c, limit)
+
+
+@pytest.mark.parametrize("limit", (0, -3))
+def test_dirty_lru_blocks_empty_for_nonpositive_limit(limit):
+    c = small_cache()
+    c.fill(0, dirty=True)
+    assert c.dirty_lru_blocks(limit) == []
+
+
 def test_warm_fills_every_way():
     c = small_cache(assoc=4, sets=8)
     inserted = c.warm(random.Random(0), dirty_prob=1.0)

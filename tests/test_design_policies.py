@@ -151,31 +151,48 @@ STATIC_POLICIES = (BaselinePolicy, PlainBaselinePolicy, HeteroDMRPolicy)
 @pytest.mark.parametrize("free_ranks", (1, 2, 4))
 def test_rank_map_is_read_rank_for_every_logical_rank(policy_cls,
                                                       free_ranks):
+    # The static policies' rank map is their steering table's home
+    # column, with no alternate copy.
     ch = _channel()
     ch.modules[1] = Module(ModuleSpec(ranks_per_module=free_ranks), "M1",
                            holds_copies=True)
     p = policy_cls()
-    table = p.rank_map(ch)
+    table = p.steering(ch)
     for r in range(3 * ch.rank_count()):
-        assert table[r % len(table)] == p.read_rank(ch, _req(rank=r), 0.0)
+        flat, rank, banks, alt, alt_rank, alt_banks = table[r % len(table)]
+        assert flat == p.read_rank(ch, _req(rank=r), 0.0)
+        assert rank is ch.locate_rank(flat)[1]
+        assert banks is rank.banks
+        assert (alt, alt_rank, alt_banks) == (None, None, None)
 
 
 @pytest.mark.parametrize("policy_cls", (FmrPolicy, HeteroFmrPolicy))
 def test_bank_state_steering_has_no_rank_map(policy_cls):
-    assert policy_cls().rank_map(_channel()) is None
+    # FMR steers per candidate (no table); Hetero-DMR+FMR's table pairs
+    # every home copy with an alternate, so it has no single-copy map.
+    table = policy_cls().steering(_channel())
+    if policy_cls is FmrPolicy:
+        assert table is None
+    else:
+        assert [(e[0], e[3]) for e in table] == [(2, 3), (3, 2)]
+
+
+def _homes(policy, ch):
+    return [entry[0] for entry in policy.steering(ch)]
 
 
 def test_rank_tables_rebuild_after_invalidate_rank_cache():
     ch = _channel()
     hdmr, hfmr = HeteroDMRPolicy(), HeteroFmrPolicy()
-    assert list(hdmr.rank_map(ch)) == [2, 3]
+    assert _homes(hdmr, ch) == [2, 3]
     assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 3
     # Repopulate the slots: a single-rank original, a 4-rank Free Module.
     ch.modules = [Module(ModuleSpec(ranks_per_module=1), "M0"),
                   Module(ModuleSpec(ranks_per_module=4), "M1",
                          holds_copies=True)]
     ch.invalidate_rank_cache()
-    assert list(hdmr.rank_map(ch)) == [1, 2, 3, 4]
+    assert _homes(hdmr, ch) == [1, 2, 3, 4]
+    assert hdmr.steering(ch)[0][1] is ch.locate_rank(1)[1]
     assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 2
     # The alternate copy of logical rank 3 wraps round the new module.
     ch.locate_rank(1)[1].banks[0].open_row = 5
@@ -188,7 +205,7 @@ def test_one_policy_steers_two_channels():
                             holds_copies=True)
     p = HeteroDMRPolicy()
     for _ in range(2):
-        assert list(p.rank_map(small)) == [2, 3]
-        assert list(p.rank_map(big)) == [2, 3, 4, 5]
+        assert _homes(p, small) == [2, 3]
+        assert _homes(p, big) == [2, 3, 4, 5]
         assert p.read_rank(small, _req(rank=3), 0.0) == 3
         assert p.read_rank(big, _req(rank=3), 0.0) == 5

@@ -31,6 +31,12 @@ def test_config_validation():
         HeteroDMRConfig(replication_limit=0.0)
 
 
+@pytest.mark.parametrize("target", (0, -3))
+def test_config_rejects_nonpositive_write_batch_target(target):
+    with pytest.raises(ValueError):
+        HeteroDMRConfig(write_batch_target=target)
+
+
 def test_config_default_threshold_is_paper_value():
     cfg = HeteroDMRConfig()
     assert 2_000_000 < cfg.epoch_error_threshold < 2_200_000

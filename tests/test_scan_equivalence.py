@@ -1,6 +1,6 @@
-"""The FR-FCFS scan with table-driven read steering and the inlined page
-policy makes the same decisions, and leaves the same bank state, as a
-scan that calls the policy's steering and ``PagePolicy.apply`` per
+"""The FR-FCFS scan over requests resolved at submit, with the inlined
+page policy, makes the same decisions, and leaves the same bank state,
+as a scan that calls the policy's steering and ``PagePolicy.apply`` per
 candidate (the scheduler's earlier form, kept here as the oracle)."""
 
 from typing import Callable, Optional
@@ -134,10 +134,13 @@ def _build(case):
     if case["last_bank"] is not None:
         sched._last_bank = case["last_bank"]
         sched._streak = case["streak"]
+    policy = POLICIES[case["policy"]]()
     queue = [ReadRequest(MemLocation(0, r, b, row, 0), float(i),
                          lambda t: None, is_prefetch=pf)
              for i, (r, b, row, pf) in enumerate(case["queue"])]
-    return ch, sched, queue, POLICIES[case["policy"]]()
+    for req in queue:
+        policy.resolve(ch, req)     # as the controller does at submit
+    return ch, sched, queue, policy
 
 
 def _state(ch, sched):
@@ -146,8 +149,7 @@ def _state(ch, sched):
     return sched.stats, sched._last_bank, sched._streak, rows
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.fixed_dictionaries({
+_cases = st.fixed_dictionaries({
     "policy": st.integers(0, len(POLICIES) - 1),
     "page": st.sampled_from(("open", "closed", "hybrid")),
     "free_ranks": st.sampled_from((1, 2)),
@@ -162,7 +164,11 @@ def _state(ch, sched):
     "queue": st.lists(_request, min_size=1, max_size=16),
     "now": st.floats(0.0, 200.0),
     "picks": st.integers(1, 4),
-}))
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cases)
 def test_table_scan_matches_per_candidate_scan(case):
     ref_ch, ref_sched, ref_queue, ref_policy = _build(case)
     ch, sched, queue, policy = _build(case)
@@ -173,9 +179,9 @@ def test_table_scan_matches_per_candidate_scan(case):
         expected = _pick_reference(
             ref_sched, ref_queue, ref_ch, now,
             lambda req: _read_rank_reference(ref_policy, ref_ch, req))
-        rank_map = policy.rank_map(ch)
-        read_rank = policy.read_rank if rank_map is None else None
-        assert sched.pick(queue, ch, now, rank_map, read_rank) == expected
+        read_rank = policy.read_rank if policy.steering(ch) is None \
+            else None
+        assert sched.pick(queue, ch, now, read_rank) == expected
         assert _state(ch, sched) == _state(ref_ch, ref_sched)
         ref_queue.pop(expected)
         queue.pop(expected)
@@ -188,12 +194,60 @@ def test_row_idle_exactly_the_timeout_stays_open():
             "bus_rank": None, "page": "hybrid", "cap": 3, "window": 4,
             "last_bank": None, "queue": [(0, 0, 2, False), (0, 0, 1, False)],
             "policy": 0}
-    ch, sched, queue, policy = _build(case)
+    ch, sched, queue, _ = _build(case)
     timeout = sched.page_policy.timeout_ns
-    assert sched.pick(queue, ch, timeout, policy.rank_map(ch)) == 1
-    assert sched.pick(queue, ch, timeout + 1e-9, policy.rank_map(ch)) == 0
+    assert sched.pick(queue, ch, timeout) == 1
+    assert sched.pick(queue, ch, timeout + 1e-9) == 0
     bank = ch.locate_rank(1)[1].banks[0]
     sched.page_policy.apply(bank, timeout)
     assert bank.open_row == 1
     sched.page_policy.apply(bank, timeout + 1e-9)
     assert bank.open_row is None
+
+
+def _assert_serving_is_read_rank(policy, ch, req):
+    flat = policy.read_rank(ch, req, 0.0)
+    assert flat == _read_rank_reference(policy, ch, req)
+    if policy.steering(ch) is None:
+        # Steered per scanned candidate (FMR): nothing is resolved.
+        assert (req.flat_rank, req.bank, req.alt_bank) == (None,) * 3
+        return
+    rank = ch.locate_rank(flat)[1]
+    assert req.serving() == (flat, rank, rank.banks[req.location.bank])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cases)
+def test_resolved_serving_is_read_rank(case):
+    """Every request resolved at submit is served by the flat rank and
+    bank its policy's ``read_rank`` names, before and after the page
+    policy closes the rows that timed out by ``now``."""
+    ch, sched, queue, policy = _build(case)
+    for req in queue:
+        _assert_serving_is_read_rank(policy, ch, req)
+    for _, rank in ch.all_ranks():
+        for bank in rank.banks:
+            sched.page_policy.apply(bank, case["now"])
+    for req in queue:
+        _assert_serving_is_read_rank(policy, ch, req)
+
+
+def test_pair_home_copy_holding_the_row_is_served_even_if_stale():
+    # Hetero-DMR+FMR: both copies hold the row, the home copy's has
+    # timed out.  The home copy is chosen (and closed), not the fresh
+    # alternate, so the oldest request is picked.
+    banks = [[(None, 0.0)] * BANKS for _ in range(4)]
+    banks[2][0] = (1, 0.0)       # home copy of logical rank 0: stale
+    banks[3][0] = (1, 150.0)     # alternate copy: fresh
+    case = {"policy": POLICIES.index(HeteroFmrPolicy), "page": "hybrid",
+            "free_ranks": 2, "banks": banks, "bus_rank": None,
+            "last_bank": None, "cap": 3, "window": 4,
+            "queue": [(1, 1, 0, False), (0, 0, 1, False)]}
+    ref_ch, ref_sched, ref_queue, ref_policy = _build(case)
+    ch, sched, queue, _ = _build(case)
+    expected = _pick_reference(
+        ref_sched, ref_queue, ref_ch, 200.0,
+        lambda req: _read_rank_reference(ref_policy, ref_ch, req))
+    assert expected == 0
+    assert sched.pick(queue, ch, 200.0) == expected
+    assert _state(ch, sched) == _state(ref_ch, ref_sched)
