@@ -1086,6 +1086,15 @@ def _cmd_suites(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got {}".format(value))
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1123,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("Hierarchy1", "Hierarchy2"))
     node.add_argument("--margin", type=int, default=800)
     node.add_argument("--utilization", type=float, default=0.2)
-    node.add_argument("--refs", type=int, default=3000)
+    node.add_argument("--refs", type=_positive_int, default=3000)
     node.add_argument("--fidelity", default=None,
                       choices=("cycle", "fast"),
                       help="model tier (default: REPRO_FIDELITY or "
@@ -1155,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[common],
         help="run the Figure 12 grid sweep at either fidelity tier")
-    sweep.add_argument("--refs", type=int, default=3000,
+    sweep.add_argument("--refs", type=_positive_int, default=3000,
                        help="trace references per core and cell")
     sweep.add_argument("--workers", type=int, default=0,
                        help="worker processes for cycle cells "
@@ -1179,7 +1188,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the cycle engine over the fig12 effective-cell grid "
              "and fit the closed-form model (writes the versioned "
              "calibration artifact)")
-    fcal.add_argument("--refs", type=int, default=None,
+    fcal.add_argument("--refs", type=_positive_int, default=None,
                       help="trace references per core (default: the "
                            "committed grid length)")
     fcal.add_argument("--suites", default=None,
@@ -1238,7 +1247,7 @@ def build_parser() -> argparse.ArgumentParser:
     bcomp.add_argument("--backends", default="ddr4,mrdimm",
                        help="comma-separated backend list (first is "
                             "the comparison baseline)")
-    bcomp.add_argument("--refs", type=int, default=1500,
+    bcomp.add_argument("--refs", type=_positive_int, default=1500,
                        help="trace references per core for the cycle "
                             "speedup measurements")
     bcomp.add_argument("--trials", type=int, default=4000,
@@ -1360,7 +1369,7 @@ def build_parser() -> argparse.ArgumentParser:
              "reference vs recorded baseline); writes "
              "BENCH_speedup.json; exit 1 when events/sec regresses "
              "more than 20%% below the baseline")
-    bench.add_argument("--refs", type=int, default=120,
+    bench.add_argument("--refs", type=_positive_int, default=120,
                        help="trace references per core and cell")
     bench.add_argument("--workers", type=int, default=8,
                        help="sweep worker processes (<=1 serial)")
@@ -1393,7 +1402,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("Hierarchy1", "Hierarchy2"))
     pprofile.add_argument("--design", default="hetero-dmr")
     pprofile.add_argument("--utilization", type=float, default=0.2)
-    pprofile.add_argument("--refs", type=int, default=3000)
+    pprofile.add_argument("--refs", type=_positive_int, default=3000)
     pprofile.add_argument("--top", type=int, default=25,
                           help="rows of profile output to print")
 

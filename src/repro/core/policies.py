@@ -22,29 +22,11 @@ from typing import Callable, List, Optional, Sequence
 
 from ..dram.channel import Channel
 from ..dram.frequency import FrequencyState
-from ..mem_ctrl.policy import (AccessPolicy, CONVENTIONAL_TURNAROUND_NS,
-                               SteerEntry, single_copy_steering)
+from ..mem_ctrl.policy import (AccessPolicy, SteerEntry, copy_pair_steering,
+                               single_copy_steering)
 from ..mem_ctrl.queues import ReadRequest
 from .config import HeteroDMRConfig
 from .epoch_guard import EpochGuard
-
-
-def _pick_replica(channel: Channel, candidates, bank_idx: int,
-                  row: int) -> int:
-    """Replica selection shared by FMR-style designs: prefer the
-    replica whose row buffer already holds the row (FMR's 'faster
-    state'), then a closed bank (activate without precharge), then the
-    bank that frees up first.  Letting streams colonize the copy rank's
-    banks is what gives FMR its effective row-buffer doubling."""
-    pairs = channel.all_ranks()
-    for flat in candidates:
-        if pairs[flat][1].banks[bank_idx].open_row == row:
-            return flat
-    for flat in candidates:
-        if pairs[flat][1].banks[bank_idx].open_row is None:
-            return flat
-    return min(candidates,
-               key=lambda f: pairs[f][1].banks[bank_idx].column_ready_ns)
 
 
 class BaselinePolicy(AccessPolicy):
@@ -68,18 +50,17 @@ class FmrPolicy(AccessPolicy):
     broadcast_writes = True
     uses_writeback_cache = True
 
-    def _build_steering(self, channel: Channel) -> None:
-        return None
-
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        """Pick between the original rank and its replica: prefer an
-        open-row hit, then the rank whose bank frees up first."""
-        nranks = channel.rank_count()
-        base = request.location.rank % nranks
-        partner = (base + nranks // 2) % nranks
-        row, bank_idx = request.location.row, request.location.bank
-        return _pick_replica(channel, (base, partner), bank_idx, row)
+    def _build_steering(self, channel: Channel) -> List[SteerEntry]:
+        """Rank ``r`` of ``n`` is replicated in rank ``(r + n//2) % n``.
+        A read goes to the copy whose row buffer holds its row (FMR's
+        'faster state'), else to a closed bank (activate without
+        precharge), else to the bank that frees up first
+        (``alt_if_freer``).  Letting streams colonize the copy rank's
+        banks is what gives FMR its effective row-buffer doubling."""
+        n = channel.rank_count()
+        return copy_pair_steering(channel, range(n),
+                                  [(r + n // 2) % n for r in range(n)],
+                                  alt_if_freer=True)
 
     def writes_per_transaction(self) -> int:
         return 2
@@ -183,22 +164,18 @@ class HeteroFmrPolicy(HeteroDMRPolicy):
         """Per Free Module rank: the home copy and, as the alternate,
         the next copy rank round the module."""
         free = self._free_ranks(channel)
-        pairs = channel.all_ranks()
-        out = []
-        for i, home in enumerate(free):
-            alt = free[(i + 1) % len(free)]
-            out.append((home, pairs[home][1], pairs[home][1].banks,
-                        alt, pairs[alt][1], pairs[alt][1].banks))
-        return out
+        return copy_pair_steering(channel, free,
+                                  list(free[1:]) + [free[0]],
+                                  alt_if_freer=False)
 
-    def read_rank(self, channel: Channel, request: ReadRequest,
-                  now_ns: float) -> int:
-        # FMR's contribution on top of Hetero-DMR is picking whichever
-        # copy is "in the faster state" — i.e., whose row buffer holds
-        # the row.  The home copy rank serves everything else.  That
-        # rule is ReadRequest.serving's; the scheduler's scan inlines it.
-        self.resolve(channel, request)
-        return request.serving()[0]
+    # FMR's contribution on top of Hetero-DMR is picking whichever copy
+    # is "in the faster state", i.e. whose row buffer holds the row; the
+    # home copy serves everything else (no ``alt_if_freer``).  The
+    # method is AccessPolicy's, bound here as well: perfbench's ledger
+    # wraps ``read_rank`` on HeteroDMRPolicy and on this class, and
+    # without an attribute of its own this class would inherit the
+    # first wrapper and wrap it again, counting every call twice.
+    read_rank = AccessPolicy.read_rank
 
     def writes_per_transaction(self) -> int:
         return 3

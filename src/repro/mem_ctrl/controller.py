@@ -188,22 +188,17 @@ class ChannelController:
     def _pump(self) -> None:
         """Issue queued reads, FR-FCFS, while inflight slots are free.
 
-        Queued reads carry their serving bank (resolved at submit);
-        only a policy without a steering table (steering that depends
-        on more bank state than a copy pair) has its ``read_rank``
-        called per scanned candidate.  Every policy names the copy of
-        each read it issues (:meth:`_issue_read`)."""
+        Queued reads carry their copies (resolved at submit), and the
+        scheduler chooses between them from bank state as it scans.
+        The policy names the copy of each read it issues
+        (:meth:`_issue_read`)."""
         # Reads are also served while a write batch drains: the channel
         # is at specification then (Hetero-DMR's "no benefit for
         # writes" — not "no service"), and the bus model naturally
         # interleaves read bursts into gaps between write chunks.
         now = self.engine.now
-        read_rank = (self.policy.read_rank
-                     if self.policy.steering(self.channel) is None
-                     else None)
         while self.inflight < self.max_inflight and self.read_queue:
-            idx = self.scheduler.pick(self.read_queue, self.channel, now,
-                                      read_rank)
+            idx = self.scheduler.pick(self.read_queue, self.channel, now)
             if idx is None:
                 break
             req = self.read_queue.pop(idx)

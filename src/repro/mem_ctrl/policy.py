@@ -26,12 +26,11 @@ from .queues import ReadRequest
 CONVENTIONAL_TURNAROUND_NS = 10.0
 
 #: One logical rank's row of a steering table: the home copy's
-#: ``(flat rank, Rank, bank list)``, then the alternate copy's, or three
-#: Nones when there is one copy to read.  A read is served by the
-#: alternate only when the home bank lacks its row and the alternate's
-#: bank holds it (:meth:`ReadRequest.serving`).
+#: ``(flat rank, Rank, bank list)``, then the alternate copy's (three
+#: Nones when there is one copy to read), then ``alt_if_freer``.
+#: :meth:`ReadRequest.serving` says which copy serves a read.
 SteerEntry = Tuple[int, Rank, List[Bank], Optional[int], Optional[Rank],
-                   Optional[List[Bank]]]
+                   Optional[List[Bank]], bool]
 
 
 def single_copy_steering(channel: Channel,
@@ -39,20 +38,30 @@ def single_copy_steering(channel: Channel,
     """Steering table reading logical rank ``r`` from
     ``flat_ranks[r % len(flat_ranks)]``, one copy each."""
     pairs = channel.all_ranks()
-    return [(flat, pairs[flat][1], pairs[flat][1].banks, None, None, None)
-            for flat in flat_ranks]
+    return [(flat, pairs[flat][1], pairs[flat][1].banks, None, None, None,
+             False) for flat in flat_ranks]
+
+
+def copy_pair_steering(channel: Channel, homes: Sequence[int],
+                       alts: Sequence[int],
+                       alt_if_freer: bool) -> List[SteerEntry]:
+    """Steering table reading logical rank ``r`` from home copy
+    ``homes[i]`` or alternate copy ``alts[i]``, ``i = r % len(homes)``."""
+    pairs = channel.all_ranks()
+    return [(home, pairs[home][1], pairs[home][1].banks,
+             alt, pairs[alt][1], pairs[alt][1].banks, alt_if_freer)
+            for home, alt in zip(homes, alts)]
 
 
 class AccessPolicy:
     """Conventional (Commercial Baseline) behaviour; subclass hooks.
 
-    Read steering that depends only on the logical rank, or on which of
-    two fixed copies has the row open, is a per-channel table,
-    :meth:`steering`.  The controller resolves each read against it
-    once, at enqueue (:meth:`resolve`), and the scheduler reads the
-    answer off the request.  Steering that depends on more bank state
-    than that overrides :meth:`read_rank`, builds no table and is
-    called per scanned candidate.
+    Every design's read steering is a per-channel table,
+    :meth:`steering`: each logical rank has a home copy and, in a
+    design that replicates, an alternate copy.  The controller resolves
+    each read against it once, at enqueue (:meth:`resolve`); which of
+    the two copies serves is decided live from bank state by one rule,
+    :meth:`ReadRequest.serving`, which the scheduler's scan inlines.
     """
 
     name = "baseline"
@@ -61,31 +70,27 @@ class AccessPolicy:
     #: Route dirty evictions through the per-channel writeback cache?
     uses_writeback_cache = False
 
-    def steering(self, channel: Channel) -> Optional[List[SteerEntry]]:
+    def steering(self, channel: Channel) -> List[SteerEntry]:
         """The channel's steering table, one :data:`SteerEntry` per
-        logical rank at index ``r % len(table)``; None for a policy
-        steered per scanned candidate.  Cached per channel."""
+        logical rank at index ``r % len(table)``.  Cached per
+        channel."""
         pairs = channel.all_ranks()
         cached = self._table
         if cached[0] is not pairs:
             cached = self._table = (pairs, self._build_steering(channel))
         return cached[1]
 
-    def _build_steering(self,
-                        channel: Channel) -> Optional[List[SteerEntry]]:
+    def _build_steering(self, channel: Channel) -> List[SteerEntry]:
         """Identity for the baseline: logical rank ``r`` reads flat
         rank ``r``."""
         return single_copy_steering(channel, range(channel.rank_count()))
 
     def resolve(self, channel: Channel, request: ReadRequest) -> None:
-        """Store the serving copy (and the alternate, for a two-copy
-        design) on ``request``; leaves a per-candidate policy's request
-        unresolved."""
+        """Store the home copy (and the alternate, for a two-copy
+        design) on ``request``."""
         table = self.steering(channel)
-        if table is None:
-            return
         loc = request.location
-        flat, rank, banks, alt, alt_rank, alt_banks = \
+        flat, rank, banks, alt, alt_rank, alt_banks, alt_if_freer = \
             table[loc.rank % len(table)]
         request.flat_rank = flat
         request.rank = rank
@@ -94,12 +99,14 @@ class AccessPolicy:
             request.alt_flat = alt
             request.alt_rank = alt_rank
             request.alt_bank = alt_banks[loc.bank]
+            request.alt_if_freer = alt_if_freer
 
     def read_rank(self, channel: Channel, request: ReadRequest,
                   now_ns: float) -> int:
-        """Flat rank that serves this read: its steering-table entry."""
-        table = self.steering(channel)
-        return table[request.location.rank % len(table)][0]
+        """Flat rank that serves this read now: the copy
+        :meth:`ReadRequest.serving` picks from its steering entry."""
+        self.resolve(channel, request)
+        return request.serving()[0]
 
     #: ``(rank list, table)``: the last channel's steering table, keyed
     #: on the ``channel.all_ranks()`` list object it was built from, so

@@ -18,14 +18,14 @@ class ReadRequest:
     Besides its decoded ``location``, a read carries the answer to
     "which bank serves it", filled in once at enqueue by
     :meth:`~repro.mem_ctrl.policy.AccessPolicy.resolve`:
-    ``flat_rank``/``rank``/``bank`` is the serving copy, and
+    ``flat_rank``/``rank``/``bank`` is the home copy, and
     ``alt_flat``/``alt_rank``/``alt_bank`` the second copy of a design
-    that picks between two by row-buffer state (None otherwise).  All
-    six stay None for a policy that steers per scan (FMR)."""
+    that picks between two by bank state (None otherwise), with FMR's
+    ``alt_if_freer``; :meth:`serving` states the rule."""
 
     __slots__ = ("location", "arrival_ns", "callback", "core_id",
                  "is_prefetch", "flat_rank", "rank", "bank", "alt_flat",
-                 "alt_rank", "alt_bank")
+                 "alt_rank", "alt_bank", "alt_if_freer")
 
     def __init__(self, location: MemLocation, arrival_ns: float,
                  callback: Callable[[float], None], core_id: int = -1,
@@ -41,16 +41,27 @@ class ReadRequest:
         self.alt_flat: Optional[int] = None
         self.alt_rank: Optional["Rank"] = None
         self.alt_bank: Optional["Bank"] = None
+        self.alt_if_freer = False
 
     def serving(self) -> Tuple[int, "Rank", "Bank"]:
-        """``(flat rank, Rank, Bank)`` serving this resolved read now:
-        the alternate copy when the home bank lacks the row and the
-        alternate holds it, the home copy otherwise."""
+        """``(flat rank, Rank, Bank)`` serving this resolved read now.
+
+        A copy whose bank holds the row serves it, the home copy first.
+        With ``alt_if_freer`` and neither copy holding the row, a closed
+        home bank serves, else a closed alternate, else the copy whose
+        bank takes a column command strictly earlier (ties: home).  The
+        home copy serves everything else."""
         alt = self.alt_bank
         if alt is not None:
             row = self.location.row
-            if self.bank.open_row != row and alt.open_row == row:
-                return self.alt_flat, self.alt_rank, alt
+            home = self.bank
+            if home.open_row != row:
+                if alt.open_row == row:
+                    return self.alt_flat, self.alt_rank, alt
+                if (self.alt_if_freer and home.open_row is not None and
+                        (alt.open_row is None or
+                         alt.column_ready_ns < home.column_ready_ns)):
+                    return self.alt_flat, self.alt_rank, alt
         return self.flat_rank, self.rank, self.bank
 
     def __repr__(self) -> str:

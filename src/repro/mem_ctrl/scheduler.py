@@ -10,8 +10,8 @@ request is forced.  Demand reads outrank prefetches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..dram.channel import Channel
 from .page_policy import PagePolicy
@@ -42,21 +42,17 @@ class FrFcfsScheduler:
         self.stats = SchedulerStats()
 
     def pick(self, queue: List[ReadRequest], channel: Channel,
-             now_ns: float,
-             read_rank: Optional[Callable] = None) -> Optional[int]:
+             now_ns: float) -> Optional[int]:
         """Return the queue index of the request to issue, or None when
         the queue is empty.
 
         Requests arrive resolved
-        (:meth:`~repro.mem_ctrl.policy.AccessPolicy.resolve`): a
-        request is served by its ``bank``, or by its ``alt_bank`` when
-        the home bank lacks the row and the alternate holds it.  A
-        policy whose steering depends on more bank state than that
-        passes its ``read_rank`` instead, and each candidate's flat rank
-        is ``read_rank(channel, request, now_ns)`` — called before the
-        page policy touches the candidate's bank, so it sees rows about
-        to time out.  The page policy is inlined: a candidate's open
-        row closes when it has been idle longer than ``close_after_ns``.
+        (:meth:`~repro.mem_ctrl.policy.AccessPolicy.resolve`), and the
+        scan inlines :meth:`ReadRequest.serving` to choose between a
+        request's ``bank`` and its ``alt_bank`` — before the page policy
+        touches the chosen bank, so the choice sees rows about to time
+        out.  The page policy is inlined: the chosen bank's open row
+        closes when it has been idle longer than ``close_after_ns``.
 
         The queue is arrival-ordered (the event loop processes
         submissions in time order), so the oldest request is index 0;
@@ -71,7 +67,6 @@ class FrFcfsScheduler:
         prefetch_hit_idx: Optional[int] = None
         other_rank_hit_idx: Optional[int] = None
         bus_rank = channel._last_bus_rank
-        pairs = channel.all_ranks()
         limit = len(queue)
         if limit > self.scan_window:
             limit = self.scan_window
@@ -80,22 +75,23 @@ class FrFcfsScheduler:
         for i in range(limit):
             req = queue[i]
             row = req.location.row
-            if read_rank is None:
-                bank = req.bank
-                open_row = bank.open_row
-                if open_row != row:
-                    alt = req.alt_bank
-                    if alt is not None and alt.open_row == row:
-                        bank = alt
-                        open_row = row
-                    elif open_row is None:
-                        continue
-            else:
-                rank = pairs[read_rank(channel, req, now_ns)][1]
-                bank = rank.banks[req.location.bank]
-                open_row = bank.open_row
-                if open_row is None:
+            bank = req.bank
+            open_row = bank.open_row
+            if open_row != row:
+                alt = req.alt_bank
+                if alt is not None and alt.open_row == row:
+                    bank = alt
+                    open_row = row
+                elif open_row is None:
                     continue
+                elif req.alt_if_freer:
+                    # Neither copy holds the row: a closed alternate
+                    # serves (no row to close), else the copy that
+                    # frees up strictly first.
+                    if alt.open_row is None:
+                        continue
+                    if alt.column_ready_ns < bank.column_ready_ns:
+                        bank = alt
             if now_ns - bank.last_access_ns > close_after:
                 bank.open_row = None
                 continue
@@ -105,9 +101,7 @@ class FrFcfsScheduler:
                     if prefetch_hit_idx is None:
                         prefetch_hit_idx = i
                     continue
-                if read_rank is None:
-                    rank = req.alt_rank if bank is req.alt_bank \
-                        else req.rank
+                rank = req.alt_rank if bank is req.alt_bank else req.rank
                 if bus_rank is None or rank is bus_rank:
                     # Same-rank hit: no bus switching bubble.
                     hit_idx = i
@@ -119,30 +113,24 @@ class FrFcfsScheduler:
         if hit_idx is None:
             hit_idx = prefetch_hit_idx
         if hit_idx is not None:
-            key = self._key(queue[hit_idx], channel, now_ns, read_rank)
+            key = self._key(queue[hit_idx])
             if key == self._last_bank and self._streak >= self.fairness_cap:
                 self.stats.fairness_overrides += 1
-                self._note(self._key(queue[oldest_idx], channel, now_ns,
-                                     read_rank))
+                self._note(self._key(queue[oldest_idx]))
                 self.stats.oldest_picks += 1
                 return oldest_idx
             self._streak = self._streak + 1 if key == self._last_bank else 1
             self._last_bank = key
             self.stats.row_hit_picks += 1
             return hit_idx
-        self._note(self._key(queue[oldest_idx], channel, now_ns, read_rank))
+        self._note(self._key(queue[oldest_idx]))
         self.stats.oldest_picks += 1
         return oldest_idx
 
     @staticmethod
-    def _key(req: ReadRequest, channel: Channel, now_ns: float,
-             read_rank: Optional[Callable]) -> tuple:
+    def _key(req: ReadRequest) -> tuple:
         """Fairness key ``(flat rank, bank)`` of ``req``."""
-        if read_rank is None:
-            flat_rank = req.serving()[0]
-        else:
-            flat_rank = read_rank(channel, req, now_ns)
-        return (flat_rank, req.location.bank)
+        return (req.serving()[0], req.location.bank)
 
     def _note(self, key: tuple) -> None:
         if key == self._last_bank:

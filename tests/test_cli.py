@@ -354,3 +354,16 @@ def test_perf_bench_parser_wiring():
     assert args.workers == 2
     assert args.fidelity == "fast"
     assert args.no_reference is True
+
+
+@pytest.mark.parametrize("value", ("0", "-3"))
+@pytest.mark.parametrize("command", (
+    ["node"], ["sweep"], ["backend", "compare"], ["perf", "profile"],
+    ["perf", "bench"], ["fastmodel", "calibrate"]))
+def test_refs_must_be_positive(command, value, capsys):
+    # A usage error (exit 2) from argparse, not a traceback from the
+    # simulation.
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--refs", value])
+    assert exc.value.code == 2
+    assert "--refs: must be a positive integer" in capsys.readouterr().err

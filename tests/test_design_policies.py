@@ -159,22 +159,26 @@ def test_rank_map_is_read_rank_for_every_logical_rank(policy_cls,
     p = policy_cls()
     table = p.steering(ch)
     for r in range(3 * ch.rank_count()):
-        flat, rank, banks, alt, alt_rank, alt_banks = table[r % len(table)]
+        flat, rank, banks, *alternate = table[r % len(table)]
         assert flat == p.read_rank(ch, _req(rank=r), 0.0)
         assert rank is ch.locate_rank(flat)[1]
         assert banks is rank.banks
-        assert (alt, alt_rank, alt_banks) == (None, None, None)
+        assert alternate == [None, None, None, False]
 
 
 @pytest.mark.parametrize("policy_cls", (FmrPolicy, HeteroFmrPolicy))
 def test_bank_state_steering_has_no_rank_map(policy_cls):
-    # FMR steers per candidate (no table); Hetero-DMR+FMR's table pairs
-    # every home copy with an alternate, so it has no single-copy map.
+    # Both tables pair every home copy with an alternate, so neither has
+    # a single-copy map: FMR's replica is half the channel's ranks away,
+    # Hetero-DMR+FMR's the next rank round the Free Module.  Only FMR
+    # falls back to the freer copy.
     table = policy_cls().steering(_channel())
     if policy_cls is FmrPolicy:
-        assert table is None
+        assert [(e[0], e[3], e[6]) for e in table] == [
+            (0, 2, True), (1, 3, True), (2, 0, True), (3, 1, True)]
     else:
-        assert [(e[0], e[3]) for e in table] == [(2, 3), (3, 2)]
+        assert [(e[0], e[3], e[6]) for e in table] == [
+            (2, 3, False), (3, 2, False)]
 
 
 def _homes(policy, ch):
@@ -183,9 +187,11 @@ def _homes(policy, ch):
 
 def test_rank_tables_rebuild_after_invalidate_rank_cache():
     ch = _channel()
-    hdmr, hfmr = HeteroDMRPolicy(), HeteroFmrPolicy()
+    hdmr, hfmr, fmr = HeteroDMRPolicy(), HeteroFmrPolicy(), FmrPolicy()
     assert _homes(hdmr, ch) == [2, 3]
     assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 3
+    assert [(e[0], e[3]) for e in fmr.steering(ch)] == [
+        (0, 2), (1, 3), (2, 0), (3, 1)]
     # Repopulate the slots: a single-rank original, a 4-rank Free Module.
     ch.modules = [Module(ModuleSpec(ranks_per_module=1), "M0"),
                   Module(ModuleSpec(ranks_per_module=4), "M1",
@@ -194,9 +200,14 @@ def test_rank_tables_rebuild_after_invalidate_rank_cache():
     assert _homes(hdmr, ch) == [1, 2, 3, 4]
     assert hdmr.steering(ch)[0][1] is ch.locate_rank(1)[1]
     assert hfmr.read_rank(ch, _req(rank=1), 0.0) == 2
+    # FMR now pairs the 5 ranks two apart.
+    assert [(e[0], e[3]) for e in fmr.steering(ch)] == [
+        (0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
+    assert fmr.steering(ch)[4][4] is ch.locate_rank(1)[1]
     # The alternate copy of logical rank 3 wraps round the new module.
     ch.locate_rank(1)[1].banks[0].open_row = 5
     assert hfmr.read_rank(ch, _req(rank=3), 0.0) == 1
+    assert fmr.read_rank(ch, _req(rank=4), 0.0) == 1
 
 
 def test_one_policy_steers_two_channels():

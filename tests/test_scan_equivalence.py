@@ -37,11 +37,29 @@ def _free_base(policy, channel) -> int:
                for m in channel.modules[:policy.free_module_index])
 
 
+def _pick_replica(channel, candidates, bank_idx: int, row: int) -> int:
+    """FMR's replica selection as written before its steering table:
+    prefer the replica whose row buffer already holds the row, then a
+    closed bank, then the bank that frees up first."""
+    pairs = channel.all_ranks()
+    for flat in candidates:
+        if pairs[flat][1].banks[bank_idx].open_row == row:
+            return flat
+    for flat in candidates:
+        if pairs[flat][1].banks[bank_idx].open_row is None:
+            return flat
+    return min(candidates,
+               key=lambda f: pairs[f][1].banks[bank_idx].column_ready_ns)
+
+
 def _read_rank_reference(policy, channel, req) -> int:
     """Each policy's steering as written before the rank tables."""
     loc = req.location
     if isinstance(policy, FmrPolicy):
-        return policy.read_rank(channel, req, 0.0)
+        nranks = channel.rank_count()
+        base = loc.rank % nranks
+        partner = (base + nranks // 2) % nranks
+        return _pick_replica(channel, (base, partner), loc.bank, loc.row)
     if isinstance(policy, HeteroDMRPolicy):
         base = _free_base(policy, channel)
         nfree = len(channel.modules[policy.free_module_index].ranks)
@@ -110,8 +128,11 @@ def _pick_reference(sched: FrFcfsScheduler, queue, channel, now_ns: float,
 
 # -- generated inputs ---------------------------------------------------------
 
+#: ``(open row, last access, column ready)``; column-ready times come
+#: from a small set so FMR's tie-break between equally free copies runs.
 _bank_state = st.tuples(st.integers(0, ROWS - 1) | st.none(),
-                        st.floats(0.0, 120.0))
+                        st.floats(0.0, 120.0),
+                        st.sampled_from((0.0, 10.0, 20.0)))
 _request = st.tuples(st.integers(0, 7), st.integers(0, BANKS - 1),
                      st.integers(0, ROWS - 1), st.booleans())
 
@@ -123,9 +144,10 @@ def _build(case):
                          "M1", holds_copies=True)]
     pairs = ch.all_ranks()
     for flat, banks in enumerate(case["banks"][:len(pairs)]):
-        for b, (row, last) in enumerate(banks):
+        for b, (row, last, ready) in enumerate(banks):
             bank = pairs[flat][1].banks[b]
             bank.open_row, bank.last_access_ns = row, last
+            bank.column_ready_ns = ready
     if case["bus_rank"] is not None:
         ch._last_bus_rank = pairs[case["bus_rank"] % len(pairs)][1]
     sched = FrFcfsScheduler(PagePolicy(kind=case["page"]),
@@ -179,9 +201,7 @@ def test_table_scan_matches_per_candidate_scan(case):
         expected = _pick_reference(
             ref_sched, ref_queue, ref_ch, now,
             lambda req: _read_rank_reference(ref_policy, ref_ch, req))
-        read_rank = policy.read_rank if policy.steering(ch) is None \
-            else None
-        assert sched.pick(queue, ch, now, read_rank) == expected
+        assert sched.pick(queue, ch, now) == expected
         assert _state(ch, sched) == _state(ref_ch, ref_sched)
         ref_queue.pop(expected)
         queue.pop(expected)
@@ -190,7 +210,7 @@ def test_table_scan_matches_per_candidate_scan(case):
 def test_row_idle_exactly_the_timeout_stays_open():
     # Hybrid closes a row idle *longer* than the timeout, in apply and
     # in the scan alike.
-    case = {"free_ranks": 2, "banks": [[(1, 0.0)] * BANKS] * 4,
+    case = {"free_ranks": 2, "banks": [[(1, 0.0, 0.0)] * BANKS] * 4,
             "bus_rank": None, "page": "hybrid", "cap": 3, "window": 4,
             "last_bank": None, "queue": [(0, 0, 2, False), (0, 0, 1, False)],
             "policy": 0}
@@ -208,10 +228,6 @@ def test_row_idle_exactly_the_timeout_stays_open():
 def _assert_serving_is_read_rank(policy, ch, req):
     flat = policy.read_rank(ch, req, 0.0)
     assert flat == _read_rank_reference(policy, ch, req)
-    if policy.steering(ch) is None:
-        # Steered per scanned candidate (FMR): nothing is resolved.
-        assert (req.flat_rank, req.bank, req.alt_bank) == (None,) * 3
-        return
     rank = ch.locate_rank(flat)[1]
     assert req.serving() == (flat, rank, rank.banks[req.location.bank])
 
@@ -236,9 +252,9 @@ def test_pair_home_copy_holding_the_row_is_served_even_if_stale():
     # Hetero-DMR+FMR: both copies hold the row, the home copy's has
     # timed out.  The home copy is chosen (and closed), not the fresh
     # alternate, so the oldest request is picked.
-    banks = [[(None, 0.0)] * BANKS for _ in range(4)]
-    banks[2][0] = (1, 0.0)       # home copy of logical rank 0: stale
-    banks[3][0] = (1, 150.0)     # alternate copy: fresh
+    banks = [[(None, 0.0, 0.0)] * BANKS for _ in range(4)]
+    banks[2][0] = (1, 0.0, 0.0)      # home copy of logical rank 0: stale
+    banks[3][0] = (1, 150.0, 0.0)    # alternate copy: fresh
     case = {"policy": POLICIES.index(HeteroFmrPolicy), "page": "hybrid",
             "free_ranks": 2, "banks": banks, "bus_rank": None,
             "last_bank": None, "cap": 3, "window": 4,
@@ -251,3 +267,50 @@ def test_pair_home_copy_holding_the_row_is_served_even_if_stale():
     assert expected == 0
     assert sched.pick(queue, ch, 200.0) == expected
     assert _state(ch, sched) == _state(ref_ch, ref_sched)
+
+
+def _fmr_fallback(home, alt):
+    """Pick once from a queue of one FMR read (logical rank 0, bank 0,
+    row 1) that neither copy holds the row for, under the hybrid page
+    policy at 200 ns; ``home``/``alt`` are the bank states of flat
+    ranks 0 and 2.  Checks the scan against the oracle and returns the
+    scan's ``(rows of bank 0 on flat ranks 0 and 2, fairness key)``."""
+    banks = [[(None, 0.0, 0.0)] * BANKS for _ in range(4)]
+    banks[0][0], banks[2][0] = home, alt
+    case = {"policy": POLICIES.index(FmrPolicy), "page": "hybrid",
+            "free_ranks": 2, "banks": banks, "bus_rank": None,
+            "last_bank": None, "cap": 3, "window": 4,
+            "queue": [(0, 0, 1, False)]}
+    ref_ch, ref_sched, ref_queue, ref_policy = _build(case)
+    ch, sched, queue, _ = _build(case)
+    expected = _pick_reference(
+        ref_sched, ref_queue, ref_ch, 200.0,
+        lambda req: _read_rank_reference(ref_policy, ref_ch, req))
+    assert sched.pick(queue, ch, 200.0) == expected == 0
+    assert _state(ch, sched) == _state(ref_ch, ref_sched)
+    rows = _state(ch, sched)[3]
+    return (rows[0][0], rows[2][0]), sched._last_bank
+
+
+def test_fmr_fallback_alternate_freer_closes_its_stale_row():
+    # Both banks hold other rows; the alternate takes a column command
+    # first, so it is the one the scan checks (and closes, stale).
+    assert _fmr_fallback(home=(2, 150.0, 50.0), alt=(3, 0.0, 10.0)) \
+        == ((2, None), (2, 0))
+
+
+def test_fmr_fallback_home_freer_closes_its_stale_row():
+    assert _fmr_fallback(home=(2, 0.0, 10.0), alt=(3, 0.0, 50.0)) \
+        == ((None, 3), (0, 0))
+
+
+def test_fmr_fallback_tie_goes_home():
+    assert _fmr_fallback(home=(2, 0.0, 30.0), alt=(3, 0.0, 30.0)) \
+        == ((None, 3), (0, 0))
+
+
+def test_fmr_fallback_closed_partner_serves_and_home_stays_open():
+    # A closed alternate serves; the home bank's stale row is not the
+    # serving bank's, so the scan leaves it open.
+    assert _fmr_fallback(home=(2, 0.0, 0.0), alt=(None, 0.0, 50.0)) \
+        == ((2, None), (2, 0))
